@@ -18,9 +18,9 @@ import click
 from . import bench as bench_mod
 from .dataset import load_csv, load_schema
 from .errors import ConfigError, DataError, DvbnError
-from .evaluation import CvReport, cross_validate, naive_bayes_protocol
+from .evaluation import (CvReport, cross_validate, naive_bayes_protocol,
+                         train_policies)
 from .graph import Dag
-from .multivar import discretize_all
 from .structure import multi_restart
 
 EXIT_CONFIG = 2
@@ -77,25 +77,17 @@ def main():
 @click.option("--schema", default=None, help="column schema JSON")
 @click.option("--structure", required=True, help="network structure JSON")
 @click.option("--method", type=click.Choice(["bayes", "mdl", "uniform"]), default="bayes")
-@click.option("--k", type=int, default=5, help="interval count for method=uniform")
+@click.option("--k", type=click.IntRange(min=1), default=5,
+              help="interval count for method=uniform")
 @click.option("--seed", type=int, required=True)
-@click.option("--max-cycles", type=int, default=10)
+@click.option("--max-cycles", type=click.IntRange(min=1), default=10)
 @click.option("--out", required=True, help="output directory")
 @_handle_errors
 def discretize(data, schema, structure, method, k, seed, max_cycles, out):
     """Discretize all continuous variables on a fixed structure."""
     d = _load_dataset(data, schema)
     g = _load_structure(structure)
-    cont = d.continuous_names()
-    if method == "uniform":
-        from .dataset import sorted_column
-        from .multivar import PolicySet
-        from .policy import equal_width
-        pset = PolicySet({x: equal_width(sorted_column(d.columns[x]), k) for x in cont},
-                         0, True)
-    else:
-        pset = discretize_all(d, g, g.reverse_topological(set(cont)),
-                              max_cycles=max_cycles, method=method)
+    pset = train_policies(d, g, d.continuous_names(), method, max_cycles, uniform_k=k)
     for name, pol in sorted(pset.policies.items()):
         _write(out, f"policy_{name}.json", pol.to_json(variable=name))
     rows = [{"variable": name, "k": pol.k,
@@ -116,9 +108,9 @@ def discretize(data, schema, structure, method, k, seed, max_cycles, out):
 @click.option("--schema", default=None)
 @click.option("--method", type=click.Choice(["bayes", "mdl"]), default="bayes")
 @click.option("--seed", type=int, required=True)
-@click.option("--restarts", type=int, default=1)
+@click.option("--restarts", type=click.IntRange(min=1), default=1)
 @click.option("--max-parents", type=int, default=None)
-@click.option("--max-cycles", type=int, default=10)
+@click.option("--max-cycles", type=click.IntRange(min=1), default=10)
 @click.option("--out", required=True)
 @_handle_errors
 def learn(data, schema, method, seed, restarts, max_parents, max_cycles, out):
@@ -138,19 +130,23 @@ def learn(data, schema, method, seed, restarts, max_parents, max_cycles, out):
 @click.option("--structure", default=None, help="fixed structure JSON (else joint learning)")
 @click.option("--method", "methods", type=click.Choice(["bayes", "mdl", "uniform"]),
               multiple=True, required=True)
-@click.option("--k", type=int, default=5, help="interval count for method=uniform")
+@click.option("--k", type=click.IntRange(min=1), default=5,
+              help="interval count for method=uniform")
 @click.option("--naive-bayes", "nb_class", default=None,
               help="run the naive-Bayes protocol with this class variable")
 @click.option("--seed", type=int, required=True)
-@click.option("--folds", type=int, default=10)
-@click.option("--restarts", type=int, default=1)
+@click.option("--folds", type=click.IntRange(min=2), default=10)
+@click.option("--restarts", type=click.IntRange(min=1), default=1)
 @click.option("--max-parents", type=int, default=None)
-@click.option("--max-cycles", type=int, default=10)
+@click.option("--max-cycles", type=click.IntRange(min=1), default=10)
 @click.option("--out", required=True)
 @_handle_errors
 def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
              restarts, max_parents, max_cycles, out):
     """Cross-validated normalized log-likelihood per method."""
+    if nb_class is None and structure is None and "uniform" in methods:
+        raise ConfigError("--method uniform needs --structure "
+                          "(joint learning has no uniform method)")
     d = _load_dataset(data, schema)
     if nb_class is not None:
         res = naive_bayes_protocol(d, nb_class, folds=folds, seed=seed,

@@ -27,10 +27,7 @@ class ChildGroup:
     j_spouse: int
     child_codes: np.ndarray   # 0-based, sorted-row order
     spouse_codes: np.ndarray  # 0-based joint spouse codes
-
-    @property
-    def pair_codes(self) -> np.ndarray:
-        return self.child_codes * self.j_spouse + self.spouse_codes
+    pair_codes: np.ndarray    # 0-based joint (spouses, child), child most significant
 
 
 @dataclass(frozen=True)
@@ -42,19 +39,32 @@ class NeighborContext:
     L: int
 
 
-def _joint_codes(d_star: DiscreteDataset, names: list[str], perm: np.ndarray) -> tuple[np.ndarray, int]:
-    """Mixed-radix encoding of the named columns, reordered by ``perm``."""
-    n = len(perm)
+def joint_codes(columns: list[np.ndarray], cards: list[int], n: int) -> tuple[np.ndarray, int]:
+    """Mixed-radix code of ``n`` rows of 1-based columns, the first column
+    least significant, and the number of joint configurations."""
     codes = np.zeros(n, dtype=np.int64)
     radix = 1
-    for name in names:
-        col = d_star.columns[name][perm]
-        card = d_star.cardinalities[name]
-        if np.any(col < 1) or np.any(col > card):
-            raise ValidationError(f"column {name!r} has values outside 1..{card}")
+    for col, card in zip(columns, cards):
         codes += (col - 1) * radix
         radix *= card
     return codes, radix
+
+
+def family_counts(d_star: DiscreteDataset, x: str, parents) -> np.ndarray:
+    """``(q, r)`` counts of x's values per joint configuration of ``parents``."""
+    names = [x, *parents]
+    r = d_star.cardinalities[x]
+    codes, qr = joint_codes([d_star.columns[v] for v in names],
+                            [d_star.cardinalities[v] for v in names], d_star.n_rows)
+    return np.bincount(codes, minlength=qr).reshape(qr // r, r)
+
+
+def _checked_column(d_star: DiscreteDataset, name: str, perm: np.ndarray) -> np.ndarray:
+    col = d_star.columns[name][perm]
+    card = d_star.cardinalities[name]
+    if np.any(col < 1) or np.any(col > card):
+        raise ValidationError(f"column {name!r} has values outside 1..{card}")
+    return col
 
 
 def build_context(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn) -> NeighborContext:
@@ -65,18 +75,23 @@ def build_context(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn) ->
     """
     parents, children, spouses = g.neighbors_for_discretization(x)
     perm = col.permutation
-    parent_codes, j_parent = _joint_codes(d_star, sorted(parents), perm)
+    n = len(perm)
+    cards = d_star.cardinalities
+    parents = sorted(parents)
+    parent_codes, j_parent = joint_codes(
+        [_checked_column(d_star, p, perm) for p in parents], [cards[p] for p in parents], n)
     groups = []
     for child, spouse_set in zip(children, spouses):
-        ccol = d_star.columns[child][perm]
-        j_child = d_star.cardinalities[child]
-        if np.any(ccol < 1) or np.any(ccol > j_child):
-            raise ValidationError(f"column {child!r} has values outside 1..{j_child}")
-        spouse_codes, j_spouse = _joint_codes(d_star, sorted(spouse_set), perm)
-        groups.append(ChildGroup(child, j_child, tuple(sorted(spouse_set)),
-                                 j_spouse, ccol - 1, spouse_codes))
+        ccol = _checked_column(d_star, child, perm)
+        names = sorted(spouse_set)
+        scols = [_checked_column(d_star, s, perm) for s in names]
+        scards = [cards[s] for s in names]
+        spouse_codes, j_spouse = joint_codes(scols, scards, n)
+        pair_codes, _ = joint_codes(scols + [ccol], scards + [cards[child]], n)
+        groups.append(ChildGroup(child, cards[child], tuple(names), j_spouse,
+                                 ccol - 1, spouse_codes, pair_codes))
     L = g.markov_blanket_max_cardinality(x)
-    return NeighborContext(n=len(perm), j_parent=j_parent,
+    return NeighborContext(n=n, j_parent=j_parent,
                            parent_codes=parent_codes, children=groups, L=L)
 
 
@@ -86,13 +101,6 @@ class CountTable:
 
     parent_counts: np.ndarray                      # (J_P,)
     child_tables: list[np.ndarray]                 # (J_C, J_S) per child
-
-    def spouse_marginals(self, j: int) -> np.ndarray:
-        return self.child_tables[j].sum(axis=0)
-
-    @property
-    def gamma(self) -> int:
-        return int(self.parent_counts.sum())
 
 
 def interval_counts(ctx: NeighborContext, a: int, b: int) -> CountTable:

@@ -64,33 +64,10 @@ class MixedDataset:
     def continuous_names(self) -> list[str]:
         return [v.name for v in self.variables if v.kind == "continuous"]
 
-    def discrete_names(self) -> list[str]:
-        return [v.name for v in self.variables if v.kind == "discrete"]
-
     def subset_rows(self, idx: np.ndarray) -> "MixedDataset":
         cols = {k: v[idx] for k, v in self.columns.items()}
         return MixedDataset(self.variables, cols, source=self.source,
                             n_dropped=self.n_dropped, label_maps=self.label_maps)
-
-    def canonical_json(self) -> str:
-        """Deterministic serialization used by the round-trip tests."""
-        obj = {
-            "variables": [
-                {"name": v.name, "kind": v.kind, "cardinality": v.cardinality}
-                for v in self.variables
-            ],
-            "n_dropped": self.n_dropped,
-            "label_maps": {k: dict(sorted(m.items())) for k, m in self.label_maps.items()},
-            "rows": [
-                [
-                    (int(self.columns[v.name][i]) if v.kind == "discrete"
-                     else float(self.columns[v.name][i]))
-                    for v in self.variables
-                ]
-                for i in range(self.n_rows)
-            ],
-        }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -171,15 +148,21 @@ def load_csv(path: str, schema: list[dict] | None = None,
     Categorical labels are mapped to ``1..cardinality`` in lexicographic label
     order; the mapping is recorded in ``label_maps``.
     """
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
+            raw_rows = [row for row in reader if row]
         except StopIteration:
             raise DataError(f"{path}: empty file")
-        raw_rows = [row for row in reader if row]
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
 
     header = [h.strip() for h in header]
+    for i, row in enumerate(raw_rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i + 1} has {len(row)} fields, "
+                            f"the header has {len(header)}")
     if schema is None:
         schema = infer_schema(header, raw_rows, max_discrete_levels)
 

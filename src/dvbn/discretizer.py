@@ -2,13 +2,11 @@
 
 Two exact solvers over the midpoint candidate space: a quadratic dynamic
 program for the Bayesian objective, and a layered (cubic) dynamic program for
-the MDL baseline.  Exhaustive enumerators over all edge subsets are provided
-as test oracles for both.
+the MDL baseline.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,9 +16,8 @@ from .counts import NeighborContext, build_context
 from .dataset import DiscreteDataset, SortedColumn
 from .errors import ValidationError
 from .graph import Dag
-from .policy import DiscretizationPolicy, midpoint_candidates, representations
-from .scoring import (h_matrix, mdl_h_matrix, mdl_interval_term, neg_log1m_exp,
-                      objective)
+from .policy import DiscretizationPolicy, representations
+from .scoring import h_matrix, mdl_h_matrix, mdl_interval_term, neg_log1m_exp
 
 
 @dataclass
@@ -32,8 +29,8 @@ class DpState:
     W: list[float]        # W[v]: edge penalty after unique v (W[m] = 0)
 
 
-def _empty_policy(col: SortedColumn) -> DiscretizationPolicy:
-    return DiscretizationPolicy((), float(col.values[0]), float(col.values[-1]))
+def _policy(col: SortedColumn, edges: tuple[float, ...] = ()) -> DiscretizationPolicy:
+    return DiscretizationPolicy(edges, float(col.values[0]), float(col.values[-1]))
 
 
 def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int) -> DpState:
@@ -85,39 +82,11 @@ def discretize_one_bayes(d_star: DiscreteDataset, g: Dag, x: str,
                          col: SortedColumn) -> DiscretizationPolicy:
     """Globally optimal Bayesian policy via the boundary DP."""
     if col.m == 1:
-        return _empty_policy(col)
+        return _policy(col)
     ctx = build_context(d_star, g, x, col)
     hm = h_matrix(ctx, col)
     dp = bayes_dp(col, hm, ctx.L)
-    return DiscretizationPolicy(_edges_from_back(dp.back, col),
-                                float(col.values[0]), float(col.values[-1]))
-
-
-def _best_subset(col: SortedColumn, evaluate) -> DiscretizationPolicy:
-    """Exhaustive minimum over all midpoint-edge subsets; ties prefer fewer
-    edges, then the lexicographically smaller edge tuple."""
-    if col.m > 20:
-        raise ValidationError("exhaustive search refused for m > 20")
-    mids = [float(e) for e in midpoint_candidates(col)]
-    lo, hi = float(col.values[0]), float(col.values[-1])
-    best_val, best_policy = None, None
-    for r in range(len(mids) + 1):
-        for combo in itertools.combinations(mids, r):
-            p = DiscretizationPolicy(combo, lo, hi)
-            val = evaluate(p)
-            if best_val is None or val < best_val:
-                best_val, best_policy = val, p
-            elif val == best_val:
-                key = (len(p.edges), p.edges)
-                if key < (len(best_policy.edges), best_policy.edges):
-                    best_policy = p
-    return best_policy
-
-
-def brute_force_bayes(d_star: DiscreteDataset, g: Dag, x: str,
-                      col: SortedColumn) -> DiscretizationPolicy:
-    ctx = build_context(d_star, g, x, col)
-    return _best_subset(col, lambda p: objective(col, ctx, p))
+    return _policy(col, _edges_from_back(dp.back, col))
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +170,11 @@ def discretize_one_mdl(d_star: DiscreteDataset, g: Dag, x: str,
                        col: SortedColumn) -> DiscretizationPolicy:
     """Globally optimal MDL policy over all interval counts."""
     if col.m == 1:
-        return _empty_policy(col)
+        return _policy(col)
     ctx = build_context(d_star, g, x, col)
     hmdl = mdl_h_matrix(ctx, col)
     edges, _, _ = mdl_dp(col, hmdl, ctx)
-    return DiscretizationPolicy(edges, float(col.values[0]), float(col.values[-1]))
-
-
-def brute_force_mdl(d_star: DiscreteDataset, g: Dag, x: str,
-                    col: SortedColumn) -> DiscretizationPolicy:
-    ctx = build_context(d_star, g, x, col)
-    return _best_subset(col, lambda p: mdl_objective(p, col, ctx))
+    return _policy(col, edges)
 
 
 def discretize_one(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn,

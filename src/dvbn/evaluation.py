@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .counts import family_counts, joint_codes
 from .dataset import DiscreteDataset, MixedDataset, sorted_column
 from .errors import ValidationError
 from .graph import Dag
@@ -36,16 +37,9 @@ def fit_parameters(d_star: DiscreteDataset, g: Dag) -> TrainedModel:
     parents, beta, cards = {}, {}, {}
     for x in g.nodes:
         pa = tuple(sorted(g.parents(x)))
-        r = d_star.cardinalities[x]
-        q = 1
-        codes = np.zeros(d_star.n_rows, dtype=np.int64)
-        for p in pa:
-            codes += (d_star.columns[p] - 1) * q
-            q *= d_star.cardinalities[p]
-        joint = codes * r + (d_star.columns[x] - 1)
-        beta[x] = np.bincount(joint, minlength=q * r).reshape(q, r)
+        beta[x] = family_counts(d_star, x, pa)
         parents[x] = pa
-        cards[x] = r
+        cards[x] = d_star.cardinalities[x]
     return TrainedModel(g, parents, beta, cards)
 
 
@@ -59,11 +53,9 @@ def loglik_discrete(model: TrainedModel, d_star_test: DiscreteDataset) -> float:
         col = d_star_test.columns[x]
         if np.any(col < 1) or np.any(col > r):
             raise ValidationError(f"test column {x!r} outside 1..{r}")
-        q = 1
-        codes = np.zeros(d_star_test.n_rows, dtype=np.int64)
-        for p in model.parents[x]:
-            codes += (d_star_test.columns[p] - 1) * q
-            q *= model.cardinalities[p]
+        pa = model.parents[x]
+        codes, _ = joint_codes([d_star_test.columns[p] for p in pa],
+                               [model.cardinalities[p] for p in pa], d_star_test.n_rows)
         beta0 = b.sum(axis=1)
         # alpha = 1: numerator alpha + beta, denominator alpha0 + beta0
         logp = np.log(1.0 + b) - np.log(r + beta0)[:, None]
@@ -94,6 +86,14 @@ def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
+def _fold_splits(d: MixedDataset, folds: int, seed: int):
+    """Yields ``(train, test)`` datasets per fold of :func:`fold_indices`;
+    with ``2 <= folds <= n`` neither side of a split is empty."""
+    all_idx = np.arange(d.n_rows)
+    for test_idx in fold_indices(d.n_rows, folds, seed):
+        yield d.subset_rows(np.setdiff1d(all_idx, test_idx)), d.subset_rows(test_idx)
+
+
 @dataclass
 class CvReport:
     method: str
@@ -116,8 +116,10 @@ class CvReport:
                 for i, v in enumerate(self.folds)]
 
 
-def _train_policies(train: MixedDataset, g: Dag, cont_vars: list[str],
-                    method: str, max_cycles: int, uniform_k: int) -> PolicySet:
+def train_policies(train: MixedDataset, g: Dag, cont_vars: list[str],
+                   method: str, max_cycles: int, uniform_k: int) -> PolicySet:
+    """Policies for ``cont_vars`` on a fixed graph: equal-width ``uniform_k``
+    intervals for ``method="uniform"``, else :func:`discretize_all`."""
     if not cont_vars:
         return PolicySet({}, 0, True)
     if method == "uniform":
@@ -129,14 +131,15 @@ def _train_policies(train: MixedDataset, g: Dag, cont_vars: list[str],
 
 
 def evaluate_fold(train: MixedDataset, test: MixedDataset, g: Dag,
-                  policies: PolicySet) -> float:
-    """Normalized held-out log-likelihood of one fold."""
+                  policies: PolicySet) -> tuple[float, TrainedModel, DiscreteDataset]:
+    """Normalized held-out log-likelihood of one fold, with the model fit on
+    the training rows and the discretized test rows."""
     d_star_train = apply_policies(train, policies.policies)
     g_cards = graph_with_cardinalities(g, train, policies.policies)
     model = fit_parameters(d_star_train, g_cards)
     d_star_test = apply_policies(test, policies.policies)
     ll = loglik_discrete(model, d_star_test) + loglik_density(test, policies.policies)
-    return ll / test.n_rows
+    return ll / test.n_rows, model, d_star_test
 
 
 def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
@@ -146,28 +149,25 @@ def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
     """Cross-validated normalized log-likelihood.
 
     With ``structure`` given, policies are retrained per fold on the fixed
-    graph; otherwise structure and policies are learned jointly per fold.
+    graph; otherwise structure and policies are learned jointly per fold,
+    which ``method="uniform"`` does not support.
     """
     if method not in ("bayes", "mdl", "uniform"):
         raise ValidationError(f"unknown method {method!r}")
+    if method == "uniform" and structure is None:
+        raise ValidationError("method 'uniform' needs a fixed structure")
     cont_vars = d.continuous_names()
-    parts = fold_indices(d.n_rows, folds, seed)
-    all_idx = np.arange(d.n_rows)
     scores = []
-    for f, test_idx in enumerate(parts):
-        train_idx = np.setdiff1d(all_idx, test_idx)
-        if len(train_idx) == 0 or len(test_idx) == 0:
-            raise ValidationError(f"fold {f} has an empty split")
-        train, test = d.subset_rows(train_idx), d.subset_rows(test_idx)
+    for f, (train, test) in enumerate(_fold_splits(d, folds, seed)):
         if structure is not None:
             g = structure
-            pset = _train_policies(train, g, cont_vars, method, max_cycles, uniform_k)
+            pset = train_policies(train, g, cont_vars, method, max_cycles, uniform_k)
         else:
             res = multi_restart(train, cont_vars, restarts, seed=seed + 1000 + f,
                                 max_parents=max_parents, max_cycles=max_cycles,
-                                method=method if method != "uniform" else "bayes")
+                                method=method)
             g, pset = res.graph, res.policies
-        scores.append(evaluate_fold(train, test, g, pset))
+        scores.append(evaluate_fold(train, test, g, pset)[0])
     return CvReport(method=method, folds=scores, seed=seed,
                     extra={"folds_protocol": "fixed" if structure is not None else "joint"})
 
@@ -212,26 +212,17 @@ def naive_bayes_protocol(d: MixedDataset, class_var: str, folds: int = 10,
     g = naive_bayes_structure(d, class_var)
     features = [name for name in d.names if name != class_var]
     cont_vars = d.continuous_names()
-    parts = fold_indices(d.n_rows, folds, seed)
-    all_idx = np.arange(d.n_rows)
 
     out = {}
     for method in methods:
-        full = _train_policies(d, g, cont_vars, method, max_cycles, uniform_k=5)
+        full = train_policies(d, g, cont_vars, method, max_cycles, uniform_k=5)
         accs, lls = [], []
-        for test_idx in parts:
-            train_idx = np.setdiff1d(all_idx, test_idx)
-            train, test = d.subset_rows(train_idx), d.subset_rows(test_idx)
-            pset = _train_policies(train, g, cont_vars, method, max_cycles, uniform_k=5)
-            d_star_train = apply_policies(train, pset.policies)
-            g_cards = graph_with_cardinalities(g, train, pset.policies)
-            model = fit_parameters(d_star_train, g_cards)
-            d_star_test = apply_policies(test, pset.policies)
+        for train, test in _fold_splits(d, folds, seed):
+            pset = train_policies(train, g, cont_vars, method, max_cycles, uniform_k=5)
+            ll, model, d_star_test = evaluate_fold(train, test, g, pset)
             pred = _nb_predict(model, d_star_test, class_var, features)
             accs.append(float(np.mean(pred == test.columns[class_var])))
-            ll = (loglik_discrete(model, d_star_test)
-                  + loglik_density(test, pset.policies))
-            lls.append(ll / test.n_rows)
+            lls.append(ll)
         out[method] = {
             "policies": full.policies,
             "fold_accuracies": accs,

@@ -126,53 +126,40 @@ def _boundary_counts(codes: np.ndarray, j: int, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.ndarray:
+    """Per-row terms summed over each boundary interval, layout as in
+    :func:`h_matrix`.  The blocks are the joint parent configuration (under a
+    single condition), then each child given its spouses.  For a block of
+    ``J`` values, ``block_term(value, J)`` gives ``term(c_cell, c_cond, a)``:
+    the terms of rows ``a+1..n`` from the counts of each row's (value,
+    condition) cell and condition among the interval's earlier rows."""
+    m, n, s = col.m, ctx.n, col.last_occurrence
+    hm = np.zeros((m, m))
+    blocks = [(ctx.parent_codes, ctx.j_parent, ctx.parent_codes, None, 1)]
+    blocks += [(grp.child_codes, grp.j_child, grp.pair_codes, grp.spouse_codes,
+                grp.j_spouse) for grp in ctx.children]
+    for value, j, cell, cond, j_cond in blocks:
+        if j <= 1:
+            continue
+        term = block_term(value, j)
+        G, C = _occurrence_before(cell), _boundary_counts(cell, j * j_cond, s)
+        if j_cond > 1:
+            Gc, Cc = _occurrence_before(cond), _boundary_counts(cond, j_cond, s)
+        for u in range(m):
+            a = 0 if u == 0 else int(s[u - 1])
+            c_cell = G[a:] - C[u, cell[a:]]
+            c_cond = Gc[a:] - Cc[u, cond[a:]] if j_cond > 1 else np.arange(n - a)
+            csum = np.cumsum(term(c_cell, c_cond, a))
+            hm[u, u:] += csum[s[u:] - 1 - a]
+    return hm
+
+
 def h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
     """Bayesian kernel over all boundary intervals; entry (u, v-1) is
     ``h(s_u + 1, s_v)``.  Entries with v <= u are unused and left at 0."""
-    m = col.m
-    s = col.last_occurrence
-    hm = np.zeros((m, m))
-    n = ctx.n
-
-    # parent block: per added row, ln(γ + J_P) - ln(c_code + 1)
-    if ctx.j_parent > 1:
-        codes = ctx.parent_codes
-        G = _occurrence_before(codes)
-        C = _boundary_counts(codes, ctx.j_parent, s)
-        jp = ctx.j_parent
-        for u in range(m):
-            a = 0 if u == 0 else int(s[u - 1])
-            cs = codes[a:]
-            c_before = G[a:] - C[u, cs]
-            d = np.log(np.arange(n - a) + jp) - np.log(c_before + 1)
-            csum = np.cumsum(d)
-            hm[u, u:] += csum[s[u:] - 1 - a]
-
-    # child blocks: per added row, ln(n_spouse + J_C) - ln(n_pair + 1)
-    for grp in ctx.children:
-        if grp.j_child <= 1:
-            continue
-        pair = grp.pair_codes
-        Gp = _occurrence_before(pair)
-        Cp = _boundary_counts(pair, grp.j_child * grp.j_spouse, s)
-        if grp.j_spouse > 1:
-            Gs = _occurrence_before(grp.spouse_codes)
-            Cs = _boundary_counts(grp.spouse_codes, grp.j_spouse, s)
-        jc = grp.j_child
-        for u in range(m):
-            a = 0 if u == 0 else int(s[u - 1])
-            pc = pair[a:]
-            c_pair = Gp[a:] - Cp[u, pc]
-            if grp.j_spouse > 1:
-                scodes = grp.spouse_codes[a:]
-                c_sp = Gs[a:] - Cs[u, scodes]
-            else:
-                c_sp = np.arange(n - a)
-            d = np.log(c_sp + jc) - np.log(c_pair + 1)
-            csum = np.cumsum(d)
-            hm[u, u:] += csum[s[u:] - 1 - a]
-
-    return hm
+    def block_term(value, j):
+        return lambda c_cell, c_cond, a: np.log(c_cond + j) - np.log(c_cell + 1)
+    return _kernel_matrix(ctx, col, block_term)
 
 
 def _phi(c: np.ndarray) -> np.ndarray:
@@ -185,49 +172,13 @@ def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
     """Negated per-interval mutual-information contributions, same layout as
     :func:`h_matrix`.  Summed over a partition this equals
     ``-n·[I(X,Pa) + Σ_j I(C_j, Pa(C_j))]`` up to terms constant in the policy."""
-    m = col.m
-    s = col.last_occurrence
-    hm = np.zeros((m, m))
-    n = ctx.n
-    log_n = math.log(n)
+    log_n = math.log(ctx.n)
 
-    if ctx.j_parent > 1:
-        codes = ctx.parent_codes
-        G = _occurrence_before(codes)
-        C = _boundary_counts(codes, ctx.j_parent, s)
-        logN = np.log(np.maximum(np.bincount(codes, minlength=ctx.j_parent), 1))
-        for u in range(m):
-            a = 0 if u == 0 else int(s[u - 1])
-            cs = codes[a:]
-            c_before = G[a:] - C[u, cs]
-            d = _phi(c_before) - logN[cs] - _phi(np.arange(n - a)) + log_n
-            csum = np.cumsum(d)
-            hm[u, u:] -= csum[s[u:] - 1 - a]
-
-    for grp in ctx.children:
-        if grp.j_child <= 1:
-            continue
-        pair = grp.pair_codes
-        Gp = _occurrence_before(pair)
-        Cp = _boundary_counts(pair, grp.j_child * grp.j_spouse, s)
-        logM = np.log(np.maximum(np.bincount(grp.child_codes, minlength=grp.j_child), 1))
-        if grp.j_spouse > 1:
-            Gs = _occurrence_before(grp.spouse_codes)
-            Cs = _boundary_counts(grp.spouse_codes, grp.j_spouse, s)
-        for u in range(m):
-            a = 0 if u == 0 else int(s[u - 1])
-            pc = pair[a:]
-            c_pair = Gp[a:] - Cp[u, pc]
-            if grp.j_spouse > 1:
-                scodes = grp.spouse_codes[a:]
-                c_sp = Gs[a:] - Cs[u, scodes]
-            else:
-                c_sp = np.arange(n - a)
-            d = _phi(c_pair) - logM[grp.child_codes[a:]] - _phi(c_sp) + log_n
-            csum = np.cumsum(d)
-            hm[u, u:] -= csum[s[u:] - 1 - a]
-
-    return hm
+    def block_term(value, j):
+        log_m = np.log(np.maximum(np.bincount(value, minlength=j), 1))
+        return lambda c_cell, c_cond, a: -(
+            _phi(c_cell) - log_m[value[a:]] - _phi(c_cond) + log_n)
+    return _kernel_matrix(ctx, col, block_term)
 
 
 def mdl_interval_term(ctx: NeighborContext, a: int, b: int) -> float:

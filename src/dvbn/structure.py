@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .counts import family_counts
 from .dataset import DiscreteDataset, MixedDataset
 from .errors import ValidationError
 from .graph import Dag
@@ -27,13 +28,7 @@ def family_score(x: str, parents, d_star: DiscreteDataset,
     if cache is not None and (x, parents) in cache:
         return cache[(x, parents)]
     r = d_star.cardinalities[x]
-    q = 1
-    codes = np.zeros(d_star.n_rows, dtype=np.int64)
-    for p in parents:
-        codes += (d_star.columns[p] - 1) * q
-        q *= d_star.cardinalities[p]
-    joint = codes * r + (d_star.columns[x] - 1)
-    beta = np.bincount(joint, minlength=q * r).reshape(q, r)
+    beta = family_counts(d_star, x, parents)
     beta0 = beta.sum(axis=1)
     # alpha = 1 everywhere, so alpha0 = r and lgamma(alpha) = 0
     score = float(np.sum(gammaln(r) - gammaln(r + beta0)) + np.sum(gammaln(1 + beta)))
@@ -47,10 +42,18 @@ def network_score(g: Dag, d_star: DiscreteDataset, cache: dict | None = None) ->
 
 
 def k2_pass(d_star: DiscreteDataset, order: list[str],
-            max_parents: int | None = None, cache: dict | None = None) -> Dag:
+            max_parents: int | None = None, cache: dict | None = None,
+            g: Dag | None = None, on_accept=None) -> Dag:
     """Greedy K2 over a fixed ordering: each node takes the best-scoring
-    predecessor repeatedly while the family score strictly improves."""
-    g = Dag({x: d_star.cardinalities[x] for x in order})
+    predecessor repeatedly while the family score strictly improves.
+
+    ``g`` is the edgeless starting graph (default: nodes in ``order``).  After
+    each accepted edge, ``on_accept(g)``, if given, returns the graph and the
+    discretized data to continue on; the score cache is then cleared and the
+    node's family rescored on the new data.
+    """
+    if g is None:
+        g = Dag({x: d_star.cardinalities[x] for x in order})
     for i, x in enumerate(order):
         pa: list[str] = []
         p_old = family_score(x, pa, d_star, cache)
@@ -60,12 +63,17 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
                 break
             scored = [(family_score(x, pa + [y], d_star, cache), y) for y in candidates]
             best_score, best_y = max(scored, key=lambda t: (t[0], t[1]))
-            if best_score > p_old:
-                g = g.add_edge(best_y, x)
-                pa.append(best_y)
+            if best_score <= p_old:
+                break
+            g = g.add_edge(best_y, x)
+            pa.append(best_y)
+            if on_accept is None:
                 p_old = best_score
             else:
-                break
+                g, d_star = on_accept(g)
+                if cache is not None:
+                    cache.clear()
+                p_old = family_score(x, pa, d_star, cache)
     return g
 
 
@@ -81,10 +89,8 @@ class LearnResult:
             "score": self.score,
             "restart_seed": self.restart_seed,
             "graph": json.loads(self.graph.to_json()),
-            "policies": {
-                name: {"edges": list(p.edges), "domain": [p.domain_min, p.domain_max]}
-                for name, p in sorted(self.policies.policies.items())
-            },
+            "policies": {name: json.loads(p.to_json())
+                         for name, p in sorted(self.policies.policies.items())},
             "converged": self.policies.converged,
             "passes": self.policies.pass_count,
         }, indent=2)
@@ -103,41 +109,28 @@ def learn_dvbn(d: MixedDataset, cont_vars: list[str], order: list[str],
     if sorted(order) != sorted(d.names):
         raise ValidationError("order must permute all dataset variables")
     k0 = init_k if init_k is not None else initial_interval_count(d)
-    g = Dag({v.name: (v.cardinality if v.kind == "discrete" else None)
-             for v in d.variables})
-    if cont_vars:
-        pset = discretize_all(d, g, g.reverse_topological(set(cont_vars)),
-                              max_cycles=max_cycles, method=method, init_k=k0)
-    else:
-        pset = PolicySet({}, 0, True)
-    d_star = apply_policies(d, pset.policies)
-    g = graph_with_cardinalities(g, d, pset.policies)
+    pset, d_star = PolicySet({}, 0, True), None
 
+    def rediscretize(g: Dag):
+        nonlocal pset, d_star
+        if cont_vars:
+            pset = discretize_all(d, g, g.reverse_topological(set(cont_vars)),
+                                  max_cycles=max_cycles, method=method, init_k=k0)
+        d_star = apply_policies(d, pset.policies)
+        return graph_with_cardinalities(g, d, pset.policies), d_star
+
+    g, _ = rediscretize(Dag(d.names))
     cache: dict = {}
-    for i, x in enumerate(order):
-        pa: list[str] = []
-        p_old = family_score(x, pa, d_star, cache)
-        while max_parents is None or len(pa) < max_parents:
-            candidates = [y for y in order[:i] if y not in pa]
-            if not candidates:
-                break
-            scored = [(family_score(x, pa + [y], d_star, cache), y) for y in candidates]
-            best_score, best_y = max(scored, key=lambda t: (t[0], t[1]))
-            if best_score <= p_old:
-                break
-            g = g.add_edge(best_y, x)
-            pa.append(best_y)
-            if cont_vars:
-                pset = discretize_all(d, g, g.reverse_topological(set(cont_vars)),
-                                      max_cycles=max_cycles, method=method, init_k=k0)
-                d_star = apply_policies(d, pset.policies)
-                g = graph_with_cardinalities(g, d, pset.policies)
-                cache = {}
-                p_old = family_score(x, pa, d_star, cache)
-            else:
-                p_old = best_score
-    score = network_score(g, d_star, cache)
-    return LearnResult(g, pset, score, restart_seed)
+    g = k2_pass(d_star, order, max_parents=max_parents, cache=cache, g=g,
+                on_accept=rediscretize if cont_vars else None)
+    return LearnResult(g, pset, network_score(g, d_star, cache), restart_seed)
+
+
+def _random_orders(names: list[str], n_restarts: int, seed: int) -> list[list[str]]:
+    if n_restarts < 1:
+        raise ValidationError("n_restarts must be >= 1")
+    rng = np.random.default_rng(seed)
+    return [[names[i] for i in rng.permutation(len(names))] for _ in range(n_restarts)]
 
 
 def multi_restart(d: MixedDataset, cont_vars: list[str], n_restarts: int,
@@ -146,12 +139,8 @@ def multi_restart(d: MixedDataset, cont_vars: list[str], n_restarts: int,
                   init_k: int | None = None) -> LearnResult:
     """Best of ``n_restarts`` random variable orderings; ties keep the
     earliest restart."""
-    if n_restarts < 1:
-        raise ValidationError("n_restarts must be >= 1")
-    rng = np.random.default_rng(seed)
     best: LearnResult | None = None
-    for r in range(n_restarts):
-        order = [d.names[i] for i in rng.permutation(len(d.names))]
+    for r, order in enumerate(_random_orders(d.names, n_restarts, seed)):
         res = learn_dvbn(d, cont_vars, order, max_parents=max_parents,
                          max_cycles=max_cycles, method=method,
                          restart_seed=r, init_k=init_k)
@@ -163,14 +152,9 @@ def multi_restart(d: MixedDataset, cont_vars: list[str], n_restarts: int,
 def k2_multi_restart(d_star: DiscreteDataset, n_restarts: int, seed: int,
                      max_parents: int | None = None) -> tuple[Dag, float, int]:
     """Plain K2 restarts on already-discrete data with a shared score cache."""
-    if n_restarts < 1:
-        raise ValidationError("n_restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    names = list(d_star.columns)
     cache: dict = {}
     best = None
-    for r in range(n_restarts):
-        order = [names[i] for i in rng.permutation(len(names))]
+    for r, order in enumerate(_random_orders(list(d_star.columns), n_restarts, seed)):
         g = k2_pass(d_star, order, max_parents=max_parents, cache=cache)
         score = network_score(g, d_star, cache)
         if best is None or score > best[1]:

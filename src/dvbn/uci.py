@@ -2,8 +2,7 @@
 
 The tool never downloads data.  Iris and Wine CSVs can be materialized from
 scikit-learn if it is installed; Auto MPG and Housing must be supplied by the
-user (see ``expected_files``) and can be converted from the raw UCI format
-with the helpers below.
+user and can be converted from the raw UCI format with the helpers below.
 """
 
 from __future__ import annotations
@@ -44,19 +43,21 @@ SCHEMAS: dict[str, list[dict]] = {
     ],
 }
 
-#: file names the CLI experiment drivers expect under a data directory
-EXPECTED_FILES = {
-    "auto-mpg": "auto-mpg.csv",
-    "wine": "wine.csv",
-    "iris": "iris.csv",
-    "housing": "housing.csv",
-}
-
-
-def schema_for(name: str) -> list[dict]:
-    if name not in SCHEMAS:
-        raise DataError(f"unknown dataset {name!r}; known: {sorted(SCHEMAS)}")
-    return SCHEMAS[name]
+def _convert_raw(raw_path: str, out_csv: str, dataset: str, fields_of) -> None:
+    """Write a whitespace-separated raw UCI file as a CSV with the dataset's
+    schema header; ``fields_of`` splits one nonblank line into cells."""
+    names = [c["name"] for c in SCHEMAS[dataset]]
+    with open(raw_path) as f, open(out_csv, "w", newline="") as out:
+        w = csv.writer(out)
+        w.writerow(names)
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            fields = fields_of(line)
+            if len(fields) != len(names):
+                raise DataError(f"unexpected field count in line: {line!r}")
+            w.writerow(fields)
 
 
 def convert_uci_auto_mpg(raw_path: str, out_csv: str) -> None:
@@ -65,33 +66,13 @@ def convert_uci_auto_mpg(raw_path: str, out_csv: str) -> None:
     Missing horsepower cells ('?') become empty cells so the loader drops
     those rows; the trailing quoted car-name field is discarded.
     """
-    names = [c["name"] for c in SCHEMAS["auto-mpg"]]
-    with open(raw_path) as f, open(out_csv, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(names)
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split('"')[0].split()
-            if len(fields) != 8:
-                raise DataError(f"unexpected field count in line: {line!r}")
-            w.writerow(["" if v == "?" else v for v in fields])
+    _convert_raw(raw_path, out_csv, "auto-mpg", lambda line: [
+        "" if v == "?" else v for v in line.split('"')[0].split()])
 
 
 def convert_uci_housing(raw_path: str, out_csv: str) -> None:
     """Convert the raw whitespace-separated UCI ``housing.data`` file."""
-    names = [c["name"] for c in SCHEMAS["housing"]]
-    with open(raw_path) as f, open(out_csv, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(names)
-        for line in f:
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 14:
-                raise DataError(f"unexpected field count in line: {line!r}")
-            w.writerow(fields)
+    _convert_raw(raw_path, out_csv, "housing", str.split)
 
 
 def write_sklearn_csv(name: str, out_csv: str) -> None:

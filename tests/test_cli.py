@@ -129,3 +129,63 @@ def test_evaluate_naive_bayes(workdir, data_dir):
     assert r.exit_code == 0, r.output
     doc = json.loads((out / "naive_bayes_report.json").read_text())
     assert doc["bayes"]["accuracy"] > 0.85
+
+
+def _discretize_args(workdir, data, *extra):
+    return ["discretize", "--data", str(data), "--schema", str(workdir / "schema.json"),
+            "--structure", str(workdir / "g.json"), "--seed", "0",
+            "--out", str(workdir / "o"), *extra]
+
+
+def test_ragged_csv_row_is_data_error(workdir):
+    bad = workdir / "ragged.csv"
+    bad.write_text("a,x,y\n1,0.5,0.1\n2,0.7\n")
+    r = run(_discretize_args(workdir, bad))
+    assert r.exit_code == 3
+    assert "data error" in r.output and "2 fields" in r.output
+
+
+def test_non_utf8_csv_is_data_error(workdir):
+    bad = workdir / "latin1.csv"
+    bad.write_bytes("a,x,y\n1,0.5,0.1\n2,0.7,caf\u00e9\n".encode("latin-1"))
+    r = run(_discretize_args(workdir, bad))
+    assert r.exit_code == 3
+    assert "data error" in r.output and "UTF-8" in r.output
+
+
+@pytest.mark.parametrize("flag,value", [("--max-cycles", "0"), ("--k", "0")])
+def test_discretize_bad_flag_is_config_error(workdir, flag, value):
+    r = run(_discretize_args(workdir, workdir / "d.csv", flag, value))
+    assert r.exit_code == 2
+    assert flag in r.output
+
+
+@pytest.mark.parametrize("flag,value", [("--folds", "1"), ("--max-cycles", "0"),
+                                        ("--restarts", "0"), ("--k", "0")])
+def test_evaluate_bad_flag_is_config_error(workdir, flag, value):
+    r = run(["evaluate", "--data", str(workdir / "d.csv"),
+             "--schema", str(workdir / "schema.json"),
+             "--structure", str(workdir / "g.json"), "--method", "uniform",
+             "--seed", "0", "--out", str(workdir / "o"), flag, value])
+    assert r.exit_code == 2
+    assert flag in r.output
+
+
+@pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--max-cycles", "0")])
+def test_learn_bad_flag_is_config_error(workdir, flag, value):
+    r = run(["learn", "--data", str(workdir / "d.csv"),
+             "--schema", str(workdir / "schema.json"),
+             "--seed", "0", "--out", str(workdir / "o"), flag, value])
+    assert r.exit_code == 2
+    assert flag in r.output
+
+
+def test_evaluate_joint_uniform_is_config_error(workdir):
+    out = workdir / "eval_u"
+    r = run(["evaluate", "--data", str(workdir / "missing.csv"),
+             "--method", "bayes", "--method", "uniform",
+             "--seed", "0", "--folds", "3", "--out", str(out)])
+    # rejected before the data is read and before any output is written
+    assert r.exit_code == 2
+    assert "--structure" in r.output
+    assert not out.exists()

@@ -1,16 +1,51 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import random_instance
 from dvbn.counts import build_context
-from dvbn.dataset import DiscreteDataset, sorted_column
-from dvbn.discretizer import (brute_force_bayes, brute_force_mdl,
-                              discretize_one, discretize_one_bayes,
+from dvbn.dataset import DiscreteDataset, SortedColumn, sorted_column
+from dvbn.discretizer import (discretize_one, discretize_one_bayes,
                               discretize_one_mdl, mdl_dp, mdl_objective,
                               mdl_penalty)
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
+from dvbn.policy import DiscretizationPolicy, midpoint_candidates
 from dvbn.scoring import mdl_h_matrix, objective
+
+
+def _best_subset(col: SortedColumn, evaluate) -> DiscretizationPolicy:
+    """Exhaustive minimum over all midpoint-edge subsets; ties prefer fewer
+    edges, then the lexicographically smaller edge tuple."""
+    if col.m > 20:
+        raise ValidationError("exhaustive search refused for m > 20")
+    mids = [float(e) for e in midpoint_candidates(col)]
+    lo, hi = float(col.values[0]), float(col.values[-1])
+    best_val, best_policy = None, None
+    for r in range(len(mids) + 1):
+        for combo in itertools.combinations(mids, r):
+            p = DiscretizationPolicy(combo, lo, hi)
+            val = evaluate(p)
+            if best_val is None or val < best_val:
+                best_val, best_policy = val, p
+            elif val == best_val:
+                key = (len(p.edges), p.edges)
+                if key < (len(best_policy.edges), best_policy.edges):
+                    best_policy = p
+    return best_policy
+
+
+def brute_force_bayes(d_star: DiscreteDataset, g: Dag, x: str,
+                      col: SortedColumn) -> DiscretizationPolicy:
+    ctx = build_context(d_star, g, x, col)
+    return _best_subset(col, lambda p: objective(col, ctx, p))
+
+
+def brute_force_mdl(d_star: DiscreteDataset, g: Dag, x: str,
+                    col: SortedColumn) -> DiscretizationPolicy:
+    ctx = build_context(d_star, g, x, col)
+    return _best_subset(col, lambda p: mdl_objective(p, col, ctx))
 
 
 def test_bayes_dp_matches_brute_force():

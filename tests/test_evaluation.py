@@ -76,6 +76,13 @@ def test_cross_validate_fixed_structure():
         cross_validate(d, "nope", structure=g, folds=3, seed=0)
 
 
+def test_cross_validate_rejects_joint_uniform():
+    # joint learning has no equal-width discretizer; it must not fall back to bayes
+    d, _ = random_mixed(8)
+    with pytest.raises(ValidationError, match="uniform"):
+        cross_validate(d, "uniform", structure=None, folds=3, seed=0)
+
+
 def test_cross_validate_seed_changes_split():
     d, g = random_mixed(9)
     r1 = cross_validate(d, "uniform", structure=g, folds=3, seed=0, uniform_k=2)
