@@ -16,7 +16,7 @@ import sys
 import click
 
 from . import bench as bench_mod
-from .dataset import load_csv, load_schema
+from .dataset import MixedDataset, load_csv, load_schema
 from .errors import ConfigError, DataError, DvbnError
 from .evaluation import (CvReport, cross_validate, naive_bayes_protocol,
                          train_policies)
@@ -52,11 +52,23 @@ def _load_dataset(data_path: str, schema_path: str | None):
     return load_csv(data_path, schema)
 
 
-def _load_structure(path: str) -> Dag:
+def _load_structure(path: str, d: MixedDataset) -> Dag:
+    """The structure file's graph; its nodes must be exactly the data's
+    variables."""
     if not os.path.exists(path):
         raise ConfigError(f"structure file not found: {path}")
     with open(path) as f:
-        return Dag.from_json(f.read())
+        text = f.read()
+    try:
+        g = Dag.from_json(text)
+    except (ValueError, KeyError, TypeError, DvbnError) as e:
+        raise ConfigError(f"bad structure file {path}: {type(e).__name__}: {e}")
+    missing = sorted(set(d.names) - set(g.nodes))
+    extra = sorted(set(g.nodes) - set(d.names))
+    if missing or extra:
+        raise ConfigError(f"structure nodes must equal the data's variables "
+                          f"(missing: {missing}, not in data: {extra})")
+    return g
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
@@ -86,7 +98,7 @@ def main():
 def discretize(data, schema, structure, method, k, seed, max_cycles, out):
     """Discretize all continuous variables on a fixed structure."""
     d = _load_dataset(data, schema)
-    g = _load_structure(structure)
+    g = _load_structure(structure, d)
     pset = train_policies(d, g, d.continuous_names(), method, max_cycles, uniform_k=k)
     for name, pol in sorted(pset.policies.items()):
         _write(out, f"policy_{name}.json", pol.to_json(variable=name))
@@ -109,7 +121,7 @@ def discretize(data, schema, structure, method, k, seed, max_cycles, out):
 @click.option("--method", type=click.Choice(["bayes", "mdl"]), default="bayes")
 @click.option("--seed", type=int, required=True)
 @click.option("--restarts", type=click.IntRange(min=1), default=1)
-@click.option("--max-parents", type=int, default=None)
+@click.option("--max-parents", type=click.IntRange(min=0), default=None)
 @click.option("--max-cycles", type=click.IntRange(min=1), default=10)
 @click.option("--out", required=True)
 @_handle_errors
@@ -137,7 +149,7 @@ def learn(data, schema, method, seed, restarts, max_parents, max_cycles, out):
 @click.option("--seed", type=int, required=True)
 @click.option("--folds", type=click.IntRange(min=2), default=10)
 @click.option("--restarts", type=click.IntRange(min=1), default=1)
-@click.option("--max-parents", type=int, default=None)
+@click.option("--max-parents", type=click.IntRange(min=0), default=None)
 @click.option("--max-cycles", type=click.IntRange(min=1), default=10)
 @click.option("--out", required=True)
 @_handle_errors
@@ -150,8 +162,8 @@ def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
     d = _load_dataset(data, schema)
     if nb_class is not None:
         res = naive_bayes_protocol(d, nb_class, folds=folds, seed=seed,
-                                   methods=tuple(m for m in methods if m != "uniform"),
-                                   max_cycles=max_cycles)
+                                   methods=methods, max_cycles=max_cycles,
+                                   uniform_k=k)
         doc = {m: {"accuracy": r["accuracy"], "mean_loglik": r["mean_loglik"],
                    "fold_accuracies": r["fold_accuracies"],
                    "fold_logliks": r["fold_logliks"],
@@ -161,7 +173,7 @@ def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
         for m, r in res.items():
             click.echo(f"{m}: accuracy={r['accuracy']:.4f} mean_ll={r['mean_loglik']:.4f}")
         return
-    g = _load_structure(structure) if structure is not None else None
+    g = _load_structure(structure, d) if structure is not None else None
     reports: list[CvReport] = []
     for method in methods:
         rep = cross_validate(d, method, structure=g, folds=folds, seed=seed,

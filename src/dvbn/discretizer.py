@@ -135,24 +135,25 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     """
     m = col.m
     u0 = col.uniques
-    # strictly-lower entries are meaningless; poison them for the layer mins
-    hmask = hmdl.copy()
-    hmask[np.tril_indices(m, k=-1)] = np.inf
+    # rows reversed: row i holds split boundary u = m-1-i, so each layer's
+    # candidates are a leading row slice and argmin's first hit is the larger
+    # u.  Strictly-lower entries (v < u) are meaningless: poison them.
+    hrev = hmdl[::-1].copy()
+    hrev[::-1][np.tril_indices(m, k=-1)] = np.inf
 
-    s_prev = hmask[0, :].copy()            # k = 1: single interval over prefix
+    s_prev = hrev[m - 1]                   # k = 1: single interval over prefix
     per_k = [mdl_penalty(1, m, ctx) + float(s_prev[m - 1])]
-    backs: list[np.ndarray | None] = [None, None]  # backs[k] is layer k's pointers
+    backs: list[np.ndarray | None] = [None, None]  # backs[k][v-k]: layer k's u
     best_k, best_total = 1, per_k[0]
     for k in range(2, m + 1):
-        idx_u = np.arange(k - 1, m)        # split boundary candidates
-        a = s_prev[idx_u - 1][:, None] + hmask[idx_u, :]
-        rev = a[::-1]
-        arg_rev = np.argmin(rev, axis=0)   # ties resolve to the larger u
-        s_new = rev[arg_rev, np.arange(m)]
-        back_k = idx_u[len(idx_u) - 1 - arg_rev].astype(np.int32)
+        # candidates u = m-1 .. k-1 for ends v >= k-1; smaller v stay inf
+        a = s_prev[k - 2:m - 1][::-1, None] + hrev[:m - k + 1, k - 1:]
+        arg = np.argmin(a, axis=0)
+        s_new = np.full(m, np.inf)
+        s_new[k - 1:] = a[arg, np.arange(m - k + 1)]
         total_k = mdl_penalty(k, m, ctx) + float(s_new[m - 1])
         per_k.append(total_k)
-        backs.append(back_k)
+        backs.append(m - 1 - arg)
         if total_k < best_total:
             best_k, best_total = k, total_k
         s_prev = s_new
@@ -160,7 +161,7 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     edges = []
     v = m
     for k in range(best_k, 1, -1):
-        u = int(backs[k][v - 1])
+        u = int(backs[k][v - k])
         edges.append(float(u0[u - 1] + u0[u]) / 2.0)
         v = u
     return tuple(reversed(edges)), best_total, per_k

@@ -202,9 +202,10 @@ def _nb_predict(model: TrainedModel, d_star_test: DiscreteDataset,
 
 def naive_bayes_protocol(d: MixedDataset, class_var: str, folds: int = 10,
                          seed: int = 0, methods: tuple[str, ...] = ("bayes", "mdl"),
-                         max_cycles: int = 10) -> dict:
+                         max_cycles: int = 10, uniform_k: int = 5) -> dict:
     """Fixed class-to-feature structure: full-data policies per method plus
-    cross-validated accuracy and normalized log-likelihood."""
+    cross-validated accuracy and normalized log-likelihood.  ``uniform_k`` is
+    the interval count of ``method="uniform"``."""
     if not all(d.is_continuous(v.name) for v in d.variables if v.name != class_var):
         raise ValidationError("all non-class variables must be continuous")
     if d.is_continuous(class_var):
@@ -215,10 +216,10 @@ def naive_bayes_protocol(d: MixedDataset, class_var: str, folds: int = 10,
 
     out = {}
     for method in methods:
-        full = train_policies(d, g, cont_vars, method, max_cycles, uniform_k=5)
+        full = train_policies(d, g, cont_vars, method, max_cycles, uniform_k)
         accs, lls = [], []
         for train, test in _fold_splits(d, folds, seed):
-            pset = train_policies(train, g, cont_vars, method, max_cycles, uniform_k=5)
+            pset = train_policies(train, g, cont_vars, method, max_cycles, uniform_k)
             ll, model, d_star_test = evaluate_fold(train, test, g, pset)
             pred = _nb_predict(model, d_star_test, class_var, features)
             accs.append(float(np.mean(pred == test.columns[class_var])))

@@ -161,7 +161,8 @@ def test_discretize_bad_flag_is_config_error(workdir, flag, value):
 
 
 @pytest.mark.parametrize("flag,value", [("--folds", "1"), ("--max-cycles", "0"),
-                                        ("--restarts", "0"), ("--k", "0")])
+                                        ("--restarts", "0"), ("--k", "0"),
+                                        ("--max-parents", "-3")])
 def test_evaluate_bad_flag_is_config_error(workdir, flag, value):
     r = run(["evaluate", "--data", str(workdir / "d.csv"),
              "--schema", str(workdir / "schema.json"),
@@ -171,7 +172,8 @@ def test_evaluate_bad_flag_is_config_error(workdir, flag, value):
     assert flag in r.output
 
 
-@pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--max-cycles", "0")])
+@pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--max-cycles", "0"),
+                                        ("--max-parents", "-3")])
 def test_learn_bad_flag_is_config_error(workdir, flag, value):
     r = run(["learn", "--data", str(workdir / "d.csv"),
              "--schema", str(workdir / "schema.json"),
@@ -189,3 +191,36 @@ def test_evaluate_joint_uniform_is_config_error(workdir):
     assert r.exit_code == 2
     assert "--structure" in r.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,names", [
+    ('{"nodes": [', []),
+    ('{"edges": []}', []),
+    (Dag({"a": 2, "x": None}).add_edge("a", "x").to_json(), ["y"]),
+    (Dag({"a": 2, "x": None, "y": None, "ghost": None}).to_json(), ["ghost"]),
+], ids=["malformed_json", "no_nodes_key", "missing_node", "extra_node"])
+def test_bad_structure_is_config_error(workdir, text, names):
+    bad = workdir / "bad_structure.json"
+    bad.write_text(text)
+    for cmd in (["discretize"], ["evaluate", "--method", "bayes", "--folds", "2"]):
+        r = run([*cmd, "--data", str(workdir / "d.csv"),
+                 "--schema", str(workdir / "schema.json"),
+                 "--structure", str(bad), "--seed", "0",
+                 "--out", str(workdir / "o")])
+        assert r.exit_code == 2, r.output
+        assert "config error" in r.output
+        for name in names:
+            assert repr(name) in r.output
+
+
+def test_evaluate_naive_bayes_uniform(workdir, data_dir):
+    out = workdir / "nb_u"
+    r = run(["evaluate", "--data", os.path.join(data_dir, "iris.csv"),
+             "--schema", os.path.join(data_dir, "iris.schema.json"),
+             "--method", "uniform", "--k", "3", "--naive-bayes", "species",
+             "--seed", "0", "--folds", "5", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    doc = json.loads((out / "naive_bayes_report.json").read_text())
+    assert list(doc) == ["uniform"]
+    assert len(doc["uniform"]["fold_accuracies"]) == 5
+    assert all(len(e) <= 2 for e in doc["uniform"]["edges"].values())

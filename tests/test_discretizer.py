@@ -144,3 +144,62 @@ def test_returned_objective_is_optimal_substructure():
         dp = bayes_dp(col, hm, ctx.L)
         pol = discretize_one_bayes(d_star, g, "X", col)
         assert dp.S[col.m] == pytest.approx(objective(col, ctx, pol), abs=1e-9)
+
+
+def _mdl_dp_reference(col: SortedColumn, hmdl: np.ndarray, ctx):
+    """The layer loop as first written: each layer gathers and masks the full
+    (m-k+1) x m block of split candidates."""
+    m = col.m
+    u0 = col.uniques
+    hmask = hmdl.copy()
+    hmask[np.tril_indices(m, k=-1)] = np.inf
+    s_prev = hmask[0, :].copy()
+    per_k = [mdl_penalty(1, m, ctx) + float(s_prev[m - 1])]
+    backs = [None, None]
+    best_k, best_total = 1, per_k[0]
+    for k in range(2, m + 1):
+        idx_u = np.arange(k - 1, m)
+        a = s_prev[idx_u - 1][:, None] + hmask[idx_u, :]
+        rev = a[::-1]
+        arg_rev = np.argmin(rev, axis=0)
+        s_new = rev[arg_rev, np.arange(m)]
+        backs.append(idx_u[len(idx_u) - 1 - arg_rev].astype(np.int32))
+        total_k = mdl_penalty(k, m, ctx) + float(s_new[m - 1])
+        per_k.append(total_k)
+        if total_k < best_total:
+            best_k, best_total = k, total_k
+        s_prev = s_new
+    edges = []
+    v = m
+    for k in range(best_k, 1, -1):
+        u = int(backs[k][v - 1])
+        edges.append(float(u0[u - 1] + u0[u]) / 2.0)
+        v = u
+    return tuple(reversed(edges)), best_total, per_k
+
+
+def test_mdl_dp_matches_reference_layer_loop_exactly():
+    for seed in range(1000):
+        d_star, g, col = random_instance(seed)
+        if col.m == 1:
+            continue
+        ctx = build_context(d_star, g, "X", col)
+        hmdl = mdl_h_matrix(ctx, col)
+        assert mdl_dp(col, hmdl, ctx) == _mdl_dp_reference(col, hmdl, ctx), seed
+
+
+def test_mdl_dp_tie_prefers_larger_split():
+    # every split of a 2-interval policy costs 2; the single interval costs
+    # 100 and more intervals cost more: the last candidate edge must win
+    col = sorted_column(np.array([0.0, 1.0, 2.0, 3.0]))
+    d_star = DiscreteDataset({"X": np.ones(4, dtype=np.int64),
+                              "P": np.array([1, 2, 1, 2], dtype=np.int64)},
+                             {"X": 1, "P": 2})
+    g = Dag({"X": None, "P": 2}).add_edge("P", "X")
+    ctx = build_context(d_star, g, "X", col)
+    hmdl = np.triu(np.ones((4, 4)))
+    hmdl[0, 3] = 100.0
+    edges, total, per_k = mdl_dp(col, hmdl, ctx)
+    assert edges == (2.5,)
+    assert total == per_k[1] == mdl_penalty(2, 4, ctx) + 2.0
+    assert (edges, total, per_k) == _mdl_dp_reference(col, hmdl, ctx)
