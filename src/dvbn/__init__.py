@@ -10,7 +10,7 @@ evaluation.
 from .dataset import (DiscreteDataset, MixedDataset, SortedColumn, Variable,
                       infer_schema, load_csv, load_schema, sorted_column,
                       sorted_view)
-from .discretizer import discretize_one, discretize_one_bayes, discretize_one_mdl
+from .discretizer import discretize_one
 from .errors import (ConfigError, CycleError, DataError, DvbnError,
                      ValidationError)
 from .evaluation import (CvReport, TrainedModel, cross_validate, fit_parameters,
@@ -32,9 +32,8 @@ __all__ = [
     "DiscreteDataset", "DiscretizationPolicy", "DvbnError", "LearnResult",
     "MixedDataset", "PolicySet", "SortedColumn", "TrainedModel",
     "ValidationError", "Variable", "apply_policies", "cross_validate",
-    "discretize_all", "discretize_one", "discretize_one_bayes",
-    "discretize_one_mdl", "equal_width", "family_score", "fit_parameters",
-    "fold_indices", "graph_with_cardinalities",
+    "discretize_all", "discretize_one", "equal_width", "family_score",
+    "fit_parameters", "fold_indices", "graph_with_cardinalities",
     "infer_schema", "initial_interval_count", "k2_multi_restart", "k2_pass",
     "learn_dvbn", "load_csv", "load_schema", "loglik_density",
     "loglik_discrete", "midpoint_candidates", "multi_restart",

@@ -99,7 +99,7 @@ def discretize(data, schema, structure, method, k, seed, max_cycles, out):
     """Discretize all continuous variables on a fixed structure."""
     d = _load_dataset(data, schema)
     g = _load_structure(structure, d)
-    pset = train_policies(d, g, d.continuous_names(), method, max_cycles, uniform_k=k)
+    pset = train_policies(d, g, method, max_cycles, uniform_k=k)
     for name, pol in sorted(pset.policies.items()):
         _write(out, f"policy_{name}.json", pol.to_json(variable=name))
     rows = [{"variable": name, "k": pol.k,
@@ -128,9 +128,8 @@ def discretize(data, schema, structure, method, k, seed, max_cycles, out):
 def learn(data, schema, method, seed, restarts, max_parents, max_cycles, out):
     """Learn structure and discretization policies jointly (restarted K2)."""
     d = _load_dataset(data, schema)
-    res = multi_restart(d, d.continuous_names(), restarts, seed,
-                        max_parents=max_parents, max_cycles=max_cycles,
-                        method=method)
+    res = multi_restart(d, restarts, seed, max_parents=max_parents,
+                        max_cycles=max_cycles, method=method)
     _write(out, "learn_result.json", res.to_json())
     click.echo(f"best score {res.score:.6f} "
                f"(restart {res.restart_seed}, {len(res.graph.edges)} edges)")

@@ -22,6 +22,11 @@ MISSING_TOKENS = {"", "?", "NA", "NaN", "nan", "na"}
 #: tables grow multiplicatively with neighbor cardinalities)
 MAX_CARDINALITY_WARNING = 20
 
+#: an inferred column is discrete only if it has at most this many levels
+MAX_DISCRETE_LEVELS = 20
+
+KINDS = ("continuous", "discrete")
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -30,7 +35,7 @@ class Variable:
     cardinality: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("continuous", "discrete"):
+        if self.kind not in KINDS:
             raise ValidationError(f"unknown variable kind {self.kind!r}")
 
 
@@ -113,15 +118,25 @@ class SortedColumn:
 
 
 def load_schema(path: str) -> list[dict]:
-    with open(path) as f:
-        doc = json.load(f)
-    if "columns" not in doc:
+    """The ``columns`` list of a schema file; every entry needs a ``name``
+    and a ``kind`` of ``"continuous"`` or ``"discrete"``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as e:  # also UnicodeDecodeError
+        raise DataError(f"schema {path}: not valid JSON ({e})")
+    if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
         raise DataError(f"schema {path}: missing 'columns'")
+    for i, c in enumerate(doc["columns"]):
+        if not isinstance(c, dict) or "name" not in c or "kind" not in c:
+            raise DataError(f"schema {path}: column {i + 1} needs a 'name' and a 'kind'")
+        if c["kind"] not in KINDS:
+            raise DataError(f"schema {path}: column {c['name']!r} has unknown kind "
+                            f"{c['kind']!r}, expected one of {KINDS}")
     return doc["columns"]
 
 
-def infer_schema(header: list[str], rows: list[list[str]],
-                 max_discrete_levels: int = 20) -> list[dict]:
+def infer_schema(header: list[str], rows: list[list[str]]) -> list[dict]:
     """Heuristic: a column is discrete iff it has few distinct, all-integral values."""
     cols = []
     for j, name in enumerate(header):
@@ -136,13 +151,12 @@ def infer_schema(header: list[str], rows: list[list[str]],
             if x != int(x):
                 integral = False
                 break
-        kind = "discrete" if integral and len(set(cells)) <= max_discrete_levels else "continuous"
+        kind = "discrete" if integral and len(set(cells)) <= MAX_DISCRETE_LEVELS else "continuous"
         cols.append({"name": name, "kind": kind})
     return cols
 
 
-def load_csv(path: str, schema: list[dict] | None = None,
-             max_discrete_levels: int = 20) -> MixedDataset:
+def load_csv(path: str, schema: list[dict] | None = None) -> MixedDataset:
     """Read a headered CSV, drop incomplete rows, and code discrete columns.
 
     Categorical labels are mapped to ``1..cardinality`` in lexicographic label
@@ -164,7 +178,7 @@ def load_csv(path: str, schema: list[dict] | None = None,
             raise DataError(f"{path}: row {i + 1} has {len(row)} fields, "
                             f"the header has {len(header)}")
     if schema is None:
-        schema = infer_schema(header, raw_rows, max_discrete_levels)
+        schema = infer_schema(header, raw_rows)
 
     names = [c["name"] for c in schema]
     for name in names:
@@ -173,13 +187,13 @@ def load_csv(path: str, schema: list[dict] | None = None,
     kinds = {c["name"]: c["kind"] for c in schema}
     col_idx = {name: header.index(name) for name in names}
 
-    kept, n_dropped = [], 0
-    for row in raw_rows:
+    kept, row_numbers = [], []  # 1-based data rows, dropped ones counted
+    for i, row in enumerate(raw_rows):
         cells = [row[col_idx[name]].strip() for name in names]
-        if any(c in MISSING_TOKENS for c in cells):
-            n_dropped += 1
-        else:
+        if not any(c in MISSING_TOKENS for c in cells):
             kept.append(cells)
+            row_numbers.append(i + 1)
+    n_dropped = len(raw_rows) - len(kept)
     if not kept:
         raise DataError(f"{path}: no complete rows after dropping missing data")
 
@@ -194,10 +208,11 @@ def load_csv(path: str, schema: list[dict] | None = None,
                 try:
                     vals[i] = float(c)
                 except ValueError:
-                    raise DataError(f"{path}: row {i + 1}, column {name!r}: "
+                    raise DataError(f"{path}: row {row_numbers[i]}, column {name!r}: "
                                     f"cannot parse {c!r} as a real number")
                 if not np.isfinite(vals[i]):
-                    raise DataError(f"{path}: row {i + 1}, column {name!r}: non-finite value")
+                    raise DataError(f"{path}: row {row_numbers[i]}, column {name!r}: "
+                                    f"non-finite value")
             variables.append(Variable(name, "continuous"))
             columns[name] = vals
         else:

@@ -78,17 +78,6 @@ def _edges_from_back(back: list[int], col: SortedColumn) -> tuple[float, ...]:
     return tuple(reversed(edges))
 
 
-def discretize_one_bayes(d_star: DiscreteDataset, g: Dag, x: str,
-                         col: SortedColumn) -> DiscretizationPolicy:
-    """Globally optimal Bayesian policy via the boundary DP."""
-    if col.m == 1:
-        return _policy(col)
-    ctx = build_context(d_star, g, x, col)
-    hm = h_matrix(ctx, col)
-    dp = bayes_dp(col, hm, ctx.L)
-    return _policy(col, _edges_from_back(dp.back, col))
-
-
 # ---------------------------------------------------------------------------
 # MDL baseline
 # ---------------------------------------------------------------------------
@@ -167,21 +156,17 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     return tuple(reversed(edges)), best_total, per_k
 
 
-def discretize_one_mdl(d_star: DiscreteDataset, g: Dag, x: str,
-                       col: SortedColumn) -> DiscretizationPolicy:
-    """Globally optimal MDL policy over all interval counts."""
+def discretize_one(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn,
+                   method: str = "bayes") -> DiscretizationPolicy:
+    """Globally optimal policy for ``x`` given its blanket in ``d_star``: the
+    Bayesian boundary DP, or the MDL layered DP over all interval counts."""
+    if method not in ("bayes", "mdl"):
+        raise ValidationError(f"unknown discretization method {method!r}")
     if col.m == 1:
         return _policy(col)
     ctx = build_context(d_star, g, x, col)
-    hmdl = mdl_h_matrix(ctx, col)
-    edges, _, _ = mdl_dp(col, hmdl, ctx)
-    return _policy(col, edges)
-
-
-def discretize_one(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn,
-                   method: str = "bayes") -> DiscretizationPolicy:
     if method == "bayes":
-        return discretize_one_bayes(d_star, g, x, col)
-    if method == "mdl":
-        return discretize_one_mdl(d_star, g, x, col)
-    raise ValidationError(f"unknown discretization method {method!r}")
+        dp = bayes_dp(col, h_matrix(ctx, col), ctx.L)
+        return _policy(col, _edges_from_back(dp.back, col))
+    edges, _, _ = mdl_dp(col, mdl_h_matrix(ctx, col), ctx)
+    return _policy(col, edges)

@@ -17,8 +17,7 @@ from .counts import family_counts, joint_codes
 from .dataset import DiscreteDataset, MixedDataset, sorted_column
 from .errors import ValidationError
 from .graph import Dag
-from .multivar import (PolicySet, apply_policies, discretize_all,
-                       graph_with_cardinalities)
+from .multivar import PolicySet, apply_policies, discretize_all
 from .policy import DiscretizationPolicy, equal_width
 from .structure import multi_restart
 
@@ -27,7 +26,6 @@ from .structure import multi_restart
 class TrainedModel:
     """Per-family smoothed count tables fit on a training fold."""
 
-    graph: Dag
     parents: dict[str, tuple[str, ...]]
     beta: dict[str, np.ndarray]        # (q_i, r_i) observed training counts
     cardinalities: dict[str, int]
@@ -40,7 +38,7 @@ def fit_parameters(d_star: DiscreteDataset, g: Dag) -> TrainedModel:
         beta[x] = family_counts(d_star, x, pa)
         parents[x] = pa
         cards[x] = d_star.cardinalities[x]
-    return TrainedModel(g, parents, beta, cards)
+    return TrainedModel(parents, beta, cards)
 
 
 def loglik_discrete(model: TrainedModel, d_star_test: DiscreteDataset) -> float:
@@ -116,27 +114,23 @@ class CvReport:
                 for i, v in enumerate(self.folds)]
 
 
-def train_policies(train: MixedDataset, g: Dag, cont_vars: list[str],
-                   method: str, max_cycles: int, uniform_k: int) -> PolicySet:
-    """Policies for ``cont_vars`` on a fixed graph: equal-width ``uniform_k``
-    intervals for ``method="uniform"``, else :func:`discretize_all`."""
-    if not cont_vars:
-        return PolicySet({}, 0, True)
+def train_policies(train: MixedDataset, g: Dag, method: str, max_cycles: int,
+                   uniform_k: int) -> PolicySet:
+    """Policies for every continuous variable on a fixed graph: equal-width
+    ``uniform_k`` intervals for ``method="uniform"``, else
+    :func:`discretize_all`."""
     if method == "uniform":
         pols = {x: equal_width(sorted_column(train.columns[x]), uniform_k)
-                for x in cont_vars}
+                for x in train.continuous_names()}
         return PolicySet(pols, 0, True)
-    order = g.reverse_topological(set(cont_vars))
-    return discretize_all(train, g, order, max_cycles=max_cycles, method=method)
+    return discretize_all(train, g, max_cycles=max_cycles, method=method)
 
 
 def evaluate_fold(train: MixedDataset, test: MixedDataset, g: Dag,
                   policies: PolicySet) -> tuple[float, TrainedModel, DiscreteDataset]:
     """Normalized held-out log-likelihood of one fold, with the model fit on
     the training rows and the discretized test rows."""
-    d_star_train = apply_policies(train, policies.policies)
-    g_cards = graph_with_cardinalities(g, train, policies.policies)
-    model = fit_parameters(d_star_train, g_cards)
+    model = fit_parameters(apply_policies(train, policies.policies), g)
     d_star_test = apply_policies(test, policies.policies)
     ll = loglik_discrete(model, d_star_test) + loglik_density(test, policies.policies)
     return ll / test.n_rows, model, d_star_test
@@ -156,14 +150,13 @@ def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
         raise ValidationError(f"unknown method {method!r}")
     if method == "uniform" and structure is None:
         raise ValidationError("method 'uniform' needs a fixed structure")
-    cont_vars = d.continuous_names()
     scores = []
     for f, (train, test) in enumerate(_fold_splits(d, folds, seed)):
         if structure is not None:
             g = structure
-            pset = train_policies(train, g, cont_vars, method, max_cycles, uniform_k)
+            pset = train_policies(train, g, method, max_cycles, uniform_k)
         else:
-            res = multi_restart(train, cont_vars, restarts, seed=seed + 1000 + f,
+            res = multi_restart(train, restarts, seed=seed + 1000 + f,
                                 max_parents=max_parents, max_cycles=max_cycles,
                                 method=method)
             g, pset = res.graph, res.policies
@@ -212,14 +205,13 @@ def naive_bayes_protocol(d: MixedDataset, class_var: str, folds: int = 10,
         raise ValidationError("class variable must be discrete")
     g = naive_bayes_structure(d, class_var)
     features = [name for name in d.names if name != class_var]
-    cont_vars = d.continuous_names()
 
     out = {}
     for method in methods:
-        full = train_policies(d, g, cont_vars, method, max_cycles, uniform_k)
+        full = train_policies(d, g, method, max_cycles, uniform_k)
         accs, lls = [], []
         for train, test in _fold_splits(d, folds, seed):
-            pset = train_policies(train, g, cont_vars, method, max_cycles, uniform_k)
+            pset = train_policies(train, g, method, max_cycles, uniform_k)
             ll, model, d_star_test = evaluate_fold(train, test, g, pset)
             pred = _nb_predict(model, d_star_test, class_var, features)
             accs.append(float(np.mean(pred == test.columns[class_var])))

@@ -112,24 +112,15 @@ class Dag:
             blanket |= s
         return blanket
 
-    def markov_blanket_max_cardinality(self, x: str, fallback: int = 2) -> int:
+    def markov_blanket_max_cardinality(self, x: str) -> int:
         """Largest cardinality among blanket members that currently have one.
 
         Nodes with no cardinality yet (continuous, not yet discretized) are
-        ignored; an empty or all-unknown blanket yields ``fallback``.
+        ignored; an empty or all-unknown blanket yields 2.
         """
         cards = [self._cards[b] for b in self.markov_blanket(x)
                  if self._cards[b] is not None]
-        return max(cards) if cards else fallback
-
-    def descendants(self, x: str) -> set[str]:
-        out, stack = set(), list(self._children[x])
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(self._children[u])
-        return out
+        return max(cards) if cards else 2
 
     def reverse_topological(self, subset=None) -> list[str]:
         """Leaves-first order over ``subset``; name order breaks ties."""
@@ -156,14 +147,6 @@ class Dag:
                     ready.append(c)
             ready.sort(reverse=True)
         return [n for n in reversed(topo) if n in subset]
-
-    def is_reverse_topological(self, order: list[str]) -> bool:
-        pos = {n: i for i, n in enumerate(order)}
-        for u in order:
-            for v in self.descendants(u):
-                if v in pos and pos[v] > pos[u]:
-                    return False
-        return True
 
     # -- serialization ----------------------------------------------------
 

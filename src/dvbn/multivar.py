@@ -55,25 +55,20 @@ def graph_with_cardinalities(g: Dag, d: MixedDataset,
     return out
 
 
-def discretize_all(d: MixedDataset, g: Dag, cont_vars: list[str],
-                   max_cycles: int = DEFAULT_MAX_CYCLES, method: str = "bayes",
-                   init_k: int | None = None) -> PolicySet:
-    """Leaves-to-root passes of single-variable discretization until the edge
-    lists stop changing, starting from equal-width policies.
-
-    ``cont_vars`` must be in reverse topological order with respect to ``g``.
+def discretize_all(d: MixedDataset, g: Dag, *,
+                   max_cycles: int = DEFAULT_MAX_CYCLES,
+                   method: str = "bayes") -> PolicySet:
+    """Leaves-to-root passes of single-variable discretization over every
+    continuous variable of ``d`` until the edge lists stop changing, starting
+    from equal-width policies with :func:`initial_interval_count` intervals.
     """
     if max_cycles < 1:
         raise ValidationError("max_cycles must be >= 1")
-    for x in cont_vars:
-        if not d.is_continuous(x):
-            raise ValidationError(f"{x!r} is not continuous")
-    if not g.is_reverse_topological(cont_vars):
-        raise ValidationError("cont_vars is not in reverse topological order")
+    cont_vars = g.reverse_topological(d.continuous_names())
     if not cont_vars:
         return PolicySet({}, 0, True)
 
-    k0 = init_k if init_k is not None else initial_interval_count(d)
+    k0 = initial_interval_count(d)
     cols = {x: sorted_view(d, x) for x in cont_vars}
     policies = {x: equal_width(cols[x], k0) for x in cont_vars}
     d_star = apply_policies(d, policies)

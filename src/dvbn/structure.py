@@ -18,7 +18,7 @@ from .dataset import DiscreteDataset, MixedDataset
 from .errors import ValidationError
 from .graph import Dag
 from .multivar import (PolicySet, apply_policies, discretize_all,
-                       graph_with_cardinalities, initial_interval_count)
+                       graph_with_cardinalities)
 
 
 def family_score(x: str, parents, d_star: DiscreteDataset,
@@ -96,10 +96,9 @@ class LearnResult:
         }, indent=2)
 
 
-def learn_dvbn(d: MixedDataset, cont_vars: list[str], order: list[str],
+def learn_dvbn(d: MixedDataset, order: list[str],
                max_parents: int | None = None, max_cycles: int = 10,
-               method: str = "bayes", restart_seed: int = 0,
-               init_k: int | None = None) -> LearnResult:
+               method: str = "bayes", restart_seed: int = 0) -> LearnResult:
     """Alternate greedy K2 parent additions with full rediscretization.
 
     Every accepted edge triggers a rediscretization of all continuous
@@ -108,21 +107,18 @@ def learn_dvbn(d: MixedDataset, cont_vars: list[str], order: list[str],
     """
     if sorted(order) != sorted(d.names):
         raise ValidationError("order must permute all dataset variables")
-    k0 = init_k if init_k is not None else initial_interval_count(d)
-    pset, d_star = PolicySet({}, 0, True), None
+    pset = d_star = None
 
     def rediscretize(g: Dag):
         nonlocal pset, d_star
-        if cont_vars:
-            pset = discretize_all(d, g, g.reverse_topological(set(cont_vars)),
-                                  max_cycles=max_cycles, method=method, init_k=k0)
+        pset = discretize_all(d, g, max_cycles=max_cycles, method=method)
         d_star = apply_policies(d, pset.policies)
         return graph_with_cardinalities(g, d, pset.policies), d_star
 
     g, _ = rediscretize(Dag(d.names))
     cache: dict = {}
     g = k2_pass(d_star, order, max_parents=max_parents, cache=cache, g=g,
-                on_accept=rediscretize if cont_vars else None)
+                on_accept=rediscretize if d.continuous_names() else None)
     return LearnResult(g, pset, network_score(g, d_star, cache), restart_seed)
 
 
@@ -133,17 +129,15 @@ def _random_orders(names: list[str], n_restarts: int, seed: int) -> list[list[st
     return [[names[i] for i in rng.permutation(len(names))] for _ in range(n_restarts)]
 
 
-def multi_restart(d: MixedDataset, cont_vars: list[str], n_restarts: int,
-                  seed: int, max_parents: int | None = None,
-                  max_cycles: int = 10, method: str = "bayes",
-                  init_k: int | None = None) -> LearnResult:
+def multi_restart(d: MixedDataset, n_restarts: int, seed: int,
+                  max_parents: int | None = None, max_cycles: int = 10,
+                  method: str = "bayes") -> LearnResult:
     """Best of ``n_restarts`` random variable orderings; ties keep the
     earliest restart."""
     best: LearnResult | None = None
     for r, order in enumerate(_random_orders(d.names, n_restarts, seed)):
-        res = learn_dvbn(d, cont_vars, order, max_parents=max_parents,
-                         max_cycles=max_cycles, method=method,
-                         restart_seed=r, init_k=init_k)
+        res = learn_dvbn(d, order, max_parents=max_parents,
+                         max_cycles=max_cycles, method=method, restart_seed=r)
         if best is None or res.score > best.score:
             best = res
     return best

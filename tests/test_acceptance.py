@@ -16,8 +16,7 @@ from dvbn.bench import run_bench
 from dvbn.counts import build_context, interval_counts
 from dvbn.dataset import (DiscreteDataset, MixedDataset, Variable, load_csv,
                           load_schema, sorted_column, sorted_view)
-from dvbn.discretizer import (discretize_one, discretize_one_bayes,
-                              discretize_one_mdl, mdl_objective, mdl_penalty)
+from dvbn.discretizer import discretize_one, mdl_objective, mdl_penalty
 from dvbn.evaluation import (cross_validate, fit_parameters, loglik_density,
                              loglik_discrete, naive_bayes_protocol)
 from dvbn.graph import Dag
@@ -70,7 +69,7 @@ def test_criterion_1_bayes_dp_optimality():
     for seed in range(200):
         d_star, g, col = random_instance(seed, n_max=16, m_max=12)
         ctx = build_context(d_star, g, "X", col)
-        pol = discretize_one_bayes(d_star, g, "X", col)
+        pol = discretize_one(d_star, g, "X", col, method="bayes")
         got = objective(col, ctx, pol)
         ref = _exhaustive_minimum(col, ctx, "bayes")
         worst = max(worst, abs(got - ref))
@@ -83,7 +82,7 @@ def test_criterion_2_mdl_dp_optimality():
     for seed in range(200):
         d_star, g, col = random_instance(seed, n_max=16, m_max=12)
         ctx = build_context(d_star, g, "X", col)
-        pol = discretize_one_mdl(d_star, g, "X", col)
+        pol = discretize_one(d_star, g, "X", col, method="mdl")
         got = mdl_objective(pol, col, ctx)
         ref = _exhaustive_minimum(col, ctx, "mdl")
         worst = max(worst, abs(got - ref))
@@ -152,9 +151,8 @@ def test_criterion_6_auto_mpg_under_segmentation():
     pols = {v: equal_width(sorted_column(d.columns[v]), 5) for v in cont}
     d_star = apply_policies(d, pols)
     g, _, _ = k2_multi_restart(d_star, 1000, seed=0)
-    order = g.reverse_topological(set(cont))
-    mdl = discretize_all(d, g, order, method="mdl")
-    bayes = discretize_all(d, g, order, method="bayes")
+    mdl = discretize_all(d, g, method="mdl")
+    bayes = discretize_all(d, g, method="bayes")
     mdl_empty = all(p.k == 1 for p in mdl.policies.values())
     bayes_cut = sum(1 for p in bayes.policies.values() if p.k > 1)
     report("criterion 6: Auto MPG fixed structure, MDL zero edges vs Bayesian cuts",
@@ -263,7 +261,7 @@ def test_criterion_8e_discretize_all_idempotence():
     for seed in range(N_CASES):
         d, g = random_mixed(seed)
         order = g.reverse_topological({"X", "Y"})
-        pset = discretize_all(d, g, order)
+        pset = discretize_all(d, g)
         if not pset.converged:
             continue
         checked += 1

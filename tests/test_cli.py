@@ -153,6 +153,16 @@ def test_non_utf8_csv_is_data_error(workdir):
     assert "data error" in r.output and "UTF-8" in r.output
 
 
+def test_unknown_schema_kind_is_data_error(workdir):
+    (workdir / "schema.json").write_text(json.dumps({"columns": [
+        {"name": "a", "kind": "discrete"},
+        {"name": "x", "kind": "continous"},
+        {"name": "y", "kind": "continuous"}]}))
+    r = run(_discretize_args(workdir, workdir / "d.csv"))
+    assert r.exit_code == 3
+    assert "data error" in r.output and "'continous'" in r.output
+
+
 @pytest.mark.parametrize("flag,value", [("--max-cycles", "0"), ("--k", "0")])
 def test_discretize_bad_flag_is_config_error(workdir, flag, value):
     r = run(_discretize_args(workdir, workdir / "d.csv", flag, value))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dvbn.dataset import (MixedDataset, Variable, infer_schema, load_csv,
-                          sorted_column)
+                          load_schema, sorted_column)
 from dvbn.errors import DataError, ValidationError
 from dvbn.uci import SCHEMAS, convert_uci_auto_mpg, convert_uci_housing
 
@@ -36,6 +36,25 @@ def test_bad_float_names_row_and_column(tmp_path):
     path = _write(tmp_path, "x\n1.0\nbogus\n")
     with pytest.raises(DataError, match="row 2.*'x'"):
         load_csv(path, [{"name": "x", "kind": "continuous"}])
+
+
+def test_bad_float_row_counts_dropped_rows(tmp_path):
+    path = _write(tmp_path, "a,x\n1,?\n2,1.0\n1,bogus\n")
+    with pytest.raises(DataError, match="row 3, column 'x'"):
+        load_csv(path, [{"name": "a", "kind": "discrete"},
+                        {"name": "x", "kind": "continuous"}])
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"columns": [', "not valid JSON"),
+    ('{"columns": [{"kind": "continuous"}]}', "column 1 needs a 'name'"),
+    ('{"columns": [{"name": "x"}]}', "column 1 needs a 'name' and a 'kind'"),
+    ('{"columns": [{"name": "x", "kind": "continous"}]}', "unknown kind 'continous'"),
+], ids=["malformed_json", "no_name", "no_kind", "unknown_kind"])
+def test_bad_schema_file_is_data_error(tmp_path, text, match):
+    path = _write(tmp_path, text, "schema.json")
+    with pytest.raises(DataError, match=match):
+        load_schema(path)
 
 
 def test_all_rows_missing_is_error(tmp_path):

@@ -6,9 +6,7 @@ import pytest
 from conftest import random_instance
 from dvbn.counts import build_context
 from dvbn.dataset import DiscreteDataset, SortedColumn, sorted_column
-from dvbn.discretizer import (discretize_one, discretize_one_bayes,
-                              discretize_one_mdl, mdl_dp, mdl_objective,
-                              mdl_penalty)
+from dvbn.discretizer import discretize_one, mdl_dp, mdl_objective, mdl_penalty
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
 from dvbn.policy import DiscretizationPolicy, midpoint_candidates
@@ -52,7 +50,7 @@ def test_bayes_dp_matches_brute_force():
     for seed in range(40):
         d_star, g, col = random_instance(seed, n_max=12, m_max=8)
         ctx = build_context(d_star, g, "X", col)
-        pol = discretize_one_bayes(d_star, g, "X", col)
+        pol = discretize_one(d_star, g, "X", col, method="bayes")
         ref = brute_force_bayes(d_star, g, "X", col)
         assert objective(col, ctx, pol) == pytest.approx(
             objective(col, ctx, ref), abs=1e-9)
@@ -62,7 +60,7 @@ def test_mdl_dp_matches_brute_force():
     for seed in range(40):
         d_star, g, col = random_instance(seed, n_max=12, m_max=8)
         ctx = build_context(d_star, g, "X", col)
-        pol = discretize_one_mdl(d_star, g, "X", col)
+        pol = discretize_one(d_star, g, "X", col, method="mdl")
         ref = brute_force_mdl(d_star, g, "X", col)
         assert mdl_objective(pol, col, ctx) == pytest.approx(
             mdl_objective(ref, col, ctx), abs=1e-9)
@@ -75,8 +73,8 @@ def test_single_unique_value_gives_empty_policy():
                              {"X": 1, "P": 2})
     g = Dag({"X": None, "P": 2}).add_edge("P", "X")
     col = sorted_column(x)
-    assert discretize_one_bayes(d_star, g, "X", col).k == 1
-    assert discretize_one_mdl(d_star, g, "X", col).k == 1
+    assert discretize_one(d_star, g, "X", col, method="bayes").k == 1
+    assert discretize_one(d_star, g, "X", col, method="mdl").k == 1
 
 
 def test_brute_force_refuses_large_m():
@@ -131,6 +129,9 @@ def test_dispatcher_rejects_unknown_method():
     d_star, g, col = random_instance(0)
     with pytest.raises(ValidationError):
         discretize_one(d_star, g, "X", col, method="nope")
+    # also when the column has one value and there is nothing to solve
+    with pytest.raises(ValidationError):
+        discretize_one(d_star, g, "X", sorted_column(np.ones(3)), method="nope")
 
 
 def test_returned_objective_is_optimal_substructure():
@@ -142,7 +143,7 @@ def test_returned_objective_is_optimal_substructure():
         ctx = build_context(d_star, g, "X", col)
         hm = h_matrix(ctx, col)
         dp = bayes_dp(col, hm, ctx.L)
-        pol = discretize_one_bayes(d_star, g, "X", col)
+        pol = discretize_one(d_star, g, "X", col, method="bayes")
         assert dp.S[col.m] == pytest.approx(objective(col, ctx, pol), abs=1e-9)
 
 

@@ -40,7 +40,7 @@ def test_apply_policies():
 def test_discretize_all_converges_and_is_idempotent():
     d, g = random_mixed(1)
     order = g.reverse_topological({"X", "Y"})
-    pset = discretize_all(d, g, order)
+    pset = discretize_all(d, g)
     assert pset.converged and pset.pass_count >= 1
     # a converged fixed point: one more single-variable pass changes nothing
     d_star = apply_policies(d, pset.policies)
@@ -52,24 +52,29 @@ def test_discretize_all_converges_and_is_idempotent():
 
 def test_discretize_all_validations():
     d, g = random_mixed(2)
-    with pytest.raises(ValidationError, match="not continuous"):
-        discretize_all(d, g, ["A"])
     with pytest.raises(ValidationError, match="max_cycles"):
-        discretize_all(d, g, ["X"], max_cycles=0)
+        discretize_all(d, g, max_cycles=0)
 
 
 def test_discretize_all_empty_is_noop():
-    d, g = random_mixed(3)
-    pset = discretize_all(d, g, [])
-    assert pset.policies == {} and pset.converged
+    d = MixedDataset([Variable("A", "discrete", 2), Variable("B", "discrete", 3)],
+                     {"A": np.array([1, 2, 1]), "B": np.array([3, 1, 2])})
+    g = Dag({"A": 2, "B": 3}).add_edge("A", "B")
+    assert discretize_all(d, g) == PolicySet({}, 0, True)
 
 
-def test_order_must_be_reverse_topological():
+def test_children_are_solved_before_parents(monkeypatch):
     d, g = random_mixed(4)
     g2 = g.add_edge("X", "Y")
-    with pytest.raises(ValidationError, match="reverse topological"):
-        discretize_all(d, g2, ["X", "Y"])  # Y is X's child: Y must come first
-    pset = discretize_all(d, g2, ["Y", "X"])
+    solved = []
+
+    def recording(d_star, g, x, col, method="bayes"):
+        solved.append(x)
+        return discretize_one(d_star, g, x, col, method=method)
+
+    monkeypatch.setattr(multivar, "discretize_one", recording)
+    pset = discretize_all(d, g2)
+    assert solved[:2] == ["Y", "X"]  # Y is X's child: Y comes first
     assert set(pset.policies) == {"X", "Y"}
 
 
@@ -101,7 +106,7 @@ def _full_resolve_reference(d, g, cont_vars, max_cycles=10, method="bayes"):
 def _assert_same_run(d, g, order, method):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = discretize_all(d, g, order, method=method)
+        got = discretize_all(d, g, method=method)
         ref = _full_resolve_reference(d, g, order, method=method)
     assert (got.pass_count, got.converged) == (ref.pass_count, ref.converged)
     assert {x: (p.edges, p.domain_min, p.domain_max) for x, p in got.policies.items()} \
@@ -147,6 +152,6 @@ def test_naive_bayes_features_are_solved_once(monkeypatch, method):
         return discretize_one(d_star, g, x, col, method=method)
 
     monkeypatch.setattr(multivar, "discretize_one", counting)
-    pset = discretize_all(d, g, g.reverse_topological(set(cont)), method=method)
+    pset = discretize_all(d, g, method=method)
     assert sorted(solved) == sorted(cont)
     assert pset.pass_count == 2 and pset.converged

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_mixed
-from dvbn.dataset import DiscreteDataset
+from dvbn.dataset import DiscreteDataset, MixedDataset, Variable
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
+from dvbn.multivar import PolicySet
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,
                             learn_dvbn, multi_restart, network_score)
 
@@ -73,7 +74,7 @@ def test_k2_multi_restart_deterministic():
 
 def test_learn_dvbn_runs_and_scores():
     d, _ = random_mixed(5)
-    res = learn_dvbn(d, ["X", "Y"], order=list(d.names))
+    res = learn_dvbn(d, order=list(d.names))
     assert set(res.policies.policies) == {"X", "Y"}
     # the reported score is the network score of the returned model
     from dvbn.multivar import apply_policies
@@ -84,13 +85,26 @@ def test_learn_dvbn_runs_and_scores():
 def test_learn_dvbn_order_validation():
     d, _ = random_mixed(6)
     with pytest.raises(ValidationError):
-        learn_dvbn(d, ["X", "Y"], order=["X", "Y"])  # not all variables
+        learn_dvbn(d, order=["X", "Y"])  # not all variables
+
+
+def test_multi_restart_on_discrete_data_is_plain_k2():
+    # no continuous variable: nothing to rediscretize, so the joint learner
+    # must pick what plain K2 restarts pick
+    dd = tiny_discrete(seed=3, n=60)
+    d = MixedDataset([Variable(x, "discrete", 2) for x in dd.columns], dd.columns)
+    res = multi_restart(d, 6, seed=2)
+    g, score, restart = k2_multi_restart(dd, 6, seed=2)
+    assert res.graph.edges
+    assert sorted(res.graph.edges) == sorted(g.edges)
+    assert (res.score, res.restart_seed) == (score, restart)
+    assert res.policies == PolicySet({}, 0, True)
 
 
 def test_multi_restart_deterministic_and_best():
     d, _ = random_mixed(7)
-    r1 = multi_restart(d, ["X", "Y"], 3, seed=1)
-    r2 = multi_restart(d, ["X", "Y"], 3, seed=1)
+    r1 = multi_restart(d, 3, seed=1)
+    r2 = multi_restart(d, 3, seed=1)
     assert r1.score == r2.score
     assert sorted(r1.graph.edges) == sorted(r2.graph.edges)
     # result JSON is well formed
