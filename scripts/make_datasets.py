@@ -1,17 +1,40 @@
 """Materialize the bundled CSVs and schema files under data/.
 
-Iris and Wine come from scikit-learn's bundled copies.  Auto MPG and Housing
-are not redistributed here; convert user-supplied raw UCI files with
+Iris and Wine come from scikit-learn's bundled copies, so this script needs
+scikit-learn; the package and its tests do not.  Auto MPG and Housing are not
+redistributed here; convert user-supplied raw UCI files with
 ``dvbn.uci.convert_uci_auto_mpg`` / ``convert_uci_housing``.
 """
 
+import csv
 import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dvbn.uci import SCHEMAS, write_sklearn_csv  # noqa: E402
+from dvbn.uci import SCHEMAS  # noqa: E402
+
+
+def write_sklearn_csv(name: str, out_csv: str) -> None:
+    """Materialize iris or wine from scikit-learn's bundled copies."""
+    try:
+        from sklearn import datasets as skd
+    except ImportError:
+        sys.exit("scikit-learn is required to materialize the Iris and Wine CSVs")
+    if name == "iris":
+        bunch = skd.load_iris()
+        header = [c["name"] for c in SCHEMAS["iris"]]
+        labels = [bunch.target_names[t] for t in bunch.target]
+        rows = [list(x) + [lab] for x, lab in zip(bunch.data, labels)]
+    else:
+        bunch = skd.load_wine()
+        header = [c["name"] for c in SCHEMAS["wine"]]
+        rows = [[t + 1] + list(x) for x, t in zip(bunch.data, bunch.target)]
+    with open(out_csv, "w", newline="") as out:
+        w = csv.writer(out)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def main() -> None:

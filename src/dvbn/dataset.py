@@ -117,9 +117,24 @@ class SortedColumn:
         return len(self.uniques)
 
 
+def _check_schema(columns, where: str) -> None:
+    """Every entry of a schema's ``columns`` list needs a unique string
+    ``name`` and a ``kind`` of ``"continuous"`` or ``"discrete"``; anything
+    else is a :class:`DataError` that starts with ``where``."""
+    seen = set()
+    for i, c in enumerate(columns):
+        if not isinstance(c, dict) or not isinstance(c.get("name"), str) or "kind" not in c:
+            raise DataError(f"{where}: column {i + 1} needs a 'name' and a 'kind'")
+        if c["kind"] not in KINDS:
+            raise DataError(f"{where}: column {c['name']!r} has unknown kind "
+                            f"{c['kind']!r}, expected one of {KINDS}")
+        if c["name"] in seen:
+            raise DataError(f"{where}: column {c['name']!r} is listed twice")
+        seen.add(c["name"])
+
+
 def load_schema(path: str) -> list[dict]:
-    """The ``columns`` list of a schema file; every entry needs a ``name``
-    and a ``kind`` of ``"continuous"`` or ``"discrete"``."""
+    """The ``columns`` list of a schema file, checked by :func:`_check_schema`."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
@@ -127,12 +142,7 @@ def load_schema(path: str) -> list[dict]:
         raise DataError(f"schema {path}: not valid JSON ({e})")
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
         raise DataError(f"schema {path}: missing 'columns'")
-    for i, c in enumerate(doc["columns"]):
-        if not isinstance(c, dict) or "name" not in c or "kind" not in c:
-            raise DataError(f"schema {path}: column {i + 1} needs a 'name' and a 'kind'")
-        if c["kind"] not in KINDS:
-            raise DataError(f"schema {path}: column {c['name']!r} has unknown kind "
-                            f"{c['kind']!r}, expected one of {KINDS}")
+    _check_schema(doc["columns"], f"schema {path}")
     return doc["columns"]
 
 
@@ -159,6 +169,9 @@ def infer_schema(header: list[str], rows: list[list[str]]) -> list[dict]:
 def load_csv(path: str, schema: list[dict] | None = None) -> MixedDataset:
     """Read a headered CSV, drop incomplete rows, and code discrete columns.
 
+    A given ``schema`` is checked like a schema file (:func:`_check_schema`);
+    without one, column kinds are inferred from the cells.
+
     Categorical labels are mapped to ``1..cardinality`` in lexicographic label
     order; the mapping is recorded in ``label_maps``.
     """
@@ -179,6 +192,8 @@ def load_csv(path: str, schema: list[dict] | None = None) -> MixedDataset:
                             f"the header has {len(header)}")
     if schema is None:
         schema = infer_schema(header, raw_rows)
+    else:
+        _check_schema(schema, f"{path}: schema")
 
     names = [c["name"] for c in schema]
     for name in names:

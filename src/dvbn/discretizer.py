@@ -17,7 +17,8 @@ from .dataset import DiscreteDataset, SortedColumn
 from .errors import ValidationError
 from .graph import Dag
 from .policy import DiscretizationPolicy, representations
-from .scoring import h_matrix, mdl_h_matrix, mdl_interval_term, neg_log1m_exp
+from .scoring import (BLOCK_ELEMENTS, check_dense_budget, h_matrix, mdl_h_matrix,
+                      mdl_interval_term, neg_log1m_exp)
 
 
 @dataclass
@@ -38,6 +39,10 @@ def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int) -> DpState:
 
     ``hm[u, v-1]`` must hold the interval kernel over rows ``s_u+1..s_v``.
     Ties prefer the larger split index (fewer, later edges).
+
+    Ends v are taken in column blocks of about :data:`BLOCK_ELEMENTS`
+    candidates.  A block forms every ``(W[v] + hm[u, v-1]) + Lr·(u_v - u_u)``
+    at once; each v then only adds ``S[u]`` and takes one argmin.
     """
     u0 = col.uniques
     m = col.m
@@ -50,21 +55,24 @@ def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int) -> DpState:
     for i in range(1, m):
         W[i] = neg_log1m_exp(L * float(u0[i] - u0[i - 1]) / rng)
 
-    S = [0.0] * (m + 1)
+    S = np.zeros(m + 1)
     back = [0] * (m + 1)
     S[1] = W[1] + float(hm[0, 0])  # single interval over rows 1..s_1
-    for v in range(2, m + 1):
-        col_v = hm[:v, v - 1].tolist()
-        uv = float(u0[v - 1])
-        best = W[v] + col_v[0] + Lr * (uv - float(u0[0]))  # u = v: one interval
-        bu = 0
-        for u in range(1, v):
-            cand = W[v] + col_v[u] + Lr * (uv - float(u0[u])) + S[u]
-            if cand <= best:
-                best, bu = cand, u
-        S[v] = best
-        back[v] = bu
-    return DpState(S, back, W)
+    Wv = np.array(W)
+    width = max(1, BLOCK_ELEMENTS // m)
+    for v1 in range(2, m + 1, width):
+        v2 = min(m + 1, v1 + width)
+        # row i holds the candidates u = 0..v-1 of v = v1 + i, before S[u]
+        cand = np.ascontiguousarray(hm[:v2 - 1, v1 - 1:v2 - 1].T)
+        cand += Wv[v1:v2, None]
+        cand += Lr * (u0[v1 - 1:v2 - 1, None] - u0[:v2 - 1])
+        for v, c in zip(range(v1, v2), cand):
+            c = c[:v]
+            c[1:] += S[1:v]  # u = 0 is the single interval: no prefix
+            bu = v - 1 - int(np.argmin(c[::-1]))  # first hit: the larger u
+            S[v] = c[bu]
+            back[v] = bu
+    return DpState(S.tolist(), back, W)
 
 
 def _edges_from_back(back: list[int], col: SortedColumn) -> tuple[float, ...]:
@@ -124,6 +132,7 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     """
     m = col.m
     u0 = col.uniques
+    check_dense_budget(m, 2, "MDL layers")
     # rows reversed: row i holds split boundary u = m-1-i, so each layer's
     # candidates are a leading row slice and argmin's first hit is the larger
     # u.  Strictly-lower entries (v < u) are meaningless: poison them.

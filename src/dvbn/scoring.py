@@ -16,7 +16,21 @@ from scipy.special import xlogy
 
 from .counts import NeighborContext, interval_counts
 from .dataset import SortedColumn
-from .errors import ValidationError
+from .errors import DataError, ValidationError
+
+#: Elements per block of the vectorized kernel builder and Bayesian DP.  Each
+#: of a block's temporaries then stays under 128 KiB: below glibc's default
+#: mmap threshold, so it is reused from the heap instead of being mapped and
+#: faulted in afresh, and small enough for a core's L2 cache.  The working set
+#: beyond the m×m kernel stays flat in n; columns with m·n ≤ 16,000 run in one
+#: block.
+BLOCK_ELEMENTS = 16_000
+
+#: Largest total size, in bytes, of the dense m×m float64 arrays that one
+#: solve step may allocate (m = unique values of the column): 1 GiB admits a
+#: kernel matrix of up to 11,585 unique values.  Larger requests raise
+#: :class:`DataError` before anything is allocated.
+MAX_DENSE_BYTES = 1 << 30
 
 
 def log_binom(n: int, r: int) -> float:
@@ -113,17 +127,21 @@ def _occurrence_before(codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_counts(codes: np.ndarray, j: int, s: np.ndarray) -> np.ndarray:
-    """C[u, code] = occurrences of code among the first ``s_u`` rows, u = 0..m-1
-    (``s_0 = 0``)."""
-    m = len(s)
-    out = np.zeros((m, j), dtype=np.int64)
-    prev = 0
-    for u in range(1, m):
-        b = int(s[u - 1])
-        out[u] = out[u - 1] + np.bincount(codes[prev:b], minlength=j)
-        prev = b
-    return out
+def _boundary_counts(codes: np.ndarray, j: int, step: np.ndarray, m: int) -> np.ndarray:
+    """C[u, code] = occurrences of code among the rows before boundary u's
+    interval, u = 0..m-1; row r is first counted at boundary ``step[r]``."""
+    inc = np.bincount(step * j + codes, minlength=(m + 1) * j).reshape(m + 1, j)
+    return np.cumsum(inc[:m], axis=0)
+
+
+def check_dense_budget(m: int, arrays: int, what: str) -> None:
+    """Refuse, before allocating, ``arrays`` dense m×m float64 arrays whose
+    bytes would exceed :data:`MAX_DENSE_BYTES`."""
+    need = arrays * 8 * m * m
+    if need > MAX_DENSE_BYTES:
+        raise DataError(
+            f"a column with {m} unique values needs {need / 2**30:.1f} GiB for "
+            f"the {what}, over the {MAX_DENSE_BYTES / 2**30:g} GiB budget")
 
 
 def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.ndarray:
@@ -132,9 +150,18 @@ def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.nd
     single condition), then each child given its spouses.  For a block of
     ``J`` values, ``block_term(value, J)`` gives ``term(c_cell, c_cond, a)``:
     the terms of rows ``a+1..n`` from the counts of each row's (value,
-    condition) cell and condition among the interval's earlier rows."""
+    condition) cell and condition among the interval's earlier rows.
+
+    Split boundaries are taken in row blocks of about
+    :data:`BLOCK_ELEMENTS` terms.  A row block starting at boundary ``u1``
+    evaluates the terms of rows ``a(u1)+1..n`` for each of its boundaries and
+    zeros those before each boundary's own interval, so every partial sum
+    equals the one-boundary cumulative sum bit for bit."""
     m, n, s = col.m, ctx.n, col.last_occurrence
+    check_dense_budget(m, 1, "kernel matrix")
     hm = np.zeros((m, m))
+    a = np.concatenate(([0], s[:-1]))  # a[u]: rows before boundary u's interval
+    step = np.searchsorted(a, np.arange(n), side="right")
     blocks = [(ctx.parent_codes, ctx.j_parent, ctx.parent_codes, None, 1)]
     blocks += [(grp.child_codes, grp.j_child, grp.pair_codes, grp.spouse_codes,
                 grp.j_spouse) for grp in ctx.children]
@@ -142,15 +169,30 @@ def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.nd
         if j <= 1:
             continue
         term = block_term(value, j)
-        G, C = _occurrence_before(cell), _boundary_counts(cell, j * j_cond, s)
+        G, C = _occurrence_before(cell), _boundary_counts(cell, j * j_cond, step, m)
         if j_cond > 1:
-            Gc, Cc = _occurrence_before(cond), _boundary_counts(cond, j_cond, s)
-        for u in range(m):
-            a = 0 if u == 0 else int(s[u - 1])
-            c_cell = G[a:] - C[u, cell[a:]]
-            c_cond = Gc[a:] - Cc[u, cond[a:]] if j_cond > 1 else np.arange(n - a)
-            csum = np.cumsum(term(c_cell, c_cond, a))
-            hm[u, u:] += csum[s[u:] - 1 - a]
+            Gc, Cc = _occurrence_before(cond), _boundary_counts(cond, j_cond, step, m)
+        u1 = 0
+        while u1 < m:
+            a1 = int(a[u1])
+            u2 = min(m, u1 + max(1, BLOCK_ELEMENTS // (n - a1)))
+            rows = np.arange(n - a1)
+            start = a[u1:u2, None] - a1  # each boundary's first row, as a column
+            c_cell = G[a1:] - C[u1:u2][:, cell[a1:]]
+            if j_cond > 1:
+                c_cond = Gc[a1:] - Cc[u1:u2][:, cond[a1:]]
+            else:
+                c_cond = rows - start
+            # counts of rows before a boundary's interval are negative: clamp
+            # them so the terms stay finite, then zero those terms
+            np.maximum(c_cell, 0, out=c_cell)
+            np.maximum(c_cond, 0, out=c_cond)
+            terms = term(c_cell, c_cond, a1)
+            terms[rows < start] = 0.0
+            csum = np.cumsum(terms, axis=1, out=terms)
+            # entries with v <= u gather a zero prefix sum and stay 0
+            hm[u1:u2, u1:] += csum[:, s[u1:] - 1 - a1]
+            u1 = u2
     return hm
 
 

@@ -1,8 +1,9 @@
 """Column schemas and formatting helpers for the supported UCI datasets.
 
-The tool never downloads data.  Iris and Wine CSVs can be materialized from
-scikit-learn if it is installed; Auto MPG and Housing must be supplied by the
-user and can be converted from the raw UCI format with the helpers below.
+The tool never downloads data.  The Iris and Wine CSVs under ``data/`` were
+written by ``scripts/make_datasets.py``; Auto MPG and Housing must be
+supplied by the user and can be converted from the raw UCI format with the
+helpers below.
 """
 
 from __future__ import annotations
@@ -73,26 +74,3 @@ def convert_uci_auto_mpg(raw_path: str, out_csv: str) -> None:
 def convert_uci_housing(raw_path: str, out_csv: str) -> None:
     """Convert the raw whitespace-separated UCI ``housing.data`` file."""
     _convert_raw(raw_path, out_csv, "housing", str.split)
-
-
-def write_sklearn_csv(name: str, out_csv: str) -> None:
-    """Materialize iris or wine from scikit-learn's bundled copies."""
-    try:
-        from sklearn import datasets as skd
-    except ImportError as e:
-        raise DataError("scikit-learn is required to materialize this dataset") from e
-    if name == "iris":
-        bunch = skd.load_iris()
-        header = [c["name"] for c in SCHEMAS["iris"]]
-        labels = [bunch.target_names[t] for t in bunch.target]
-        rows = [list(x) + [lab] for x, lab in zip(bunch.data, labels)]
-    elif name == "wine":
-        bunch = skd.load_wine()
-        header = [c["name"] for c in SCHEMAS["wine"]]
-        rows = [[t + 1] + list(x) for x, t in zip(bunch.data, bunch.target)]
-    else:
-        raise DataError(f"{name!r} is not bundled with scikit-learn")
-    with open(out_csv, "w", newline="") as out:
-        w = csv.writer(out)
-        w.writerow(header)
-        w.writerows(rows)

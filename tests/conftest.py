@@ -79,3 +79,25 @@ def random_mixed(seed: int, n_max: int = 14):
     g = g.add_edge("X", "B")
     g = g.add_edge("Y", "B")
     return d, g
+
+
+def blanket_instance(n: int, seed: int, decimals: int | None = None):
+    """Target column of ``n`` rows with a parent, a child with a spouse and a
+    child without one, so every kernel block kind occurs.  Values are unique
+    unless ``decimals`` rounds them into ties.  Returns ``(d_star, graph,
+    sorted_column)`` like :func:`random_instance`."""
+    rng = np.random.default_rng(seed)
+    p = rng.integers(1, 4, size=n)
+    x = p + rng.normal(0.0, 1.0, size=n)
+    if decimals is not None:
+        x = np.round(x, decimals)
+    s = rng.integers(1, 3, size=n)
+    c1 = (np.searchsorted(np.quantile(x, [0.3, 0.7]), x) + s) % 3 + 1
+    c2 = (x > np.median(x)).astype(np.int64) + 1
+    cols = {"X": np.ones(n, dtype=np.int64), "P": p, "S": s, "C1": c1, "C2": c2}
+    cards = {"X": 1, "P": 3, "S": 2, "C1": 3, "C2": 2}
+    cols = {k: v.astype(np.int64) for k, v in cols.items()}
+    g = Dag({k: (None if k == "X" else c) for k, c in cards.items()})
+    for a, b in (("P", "X"), ("X", "C1"), ("S", "C1"), ("X", "C2")):
+        g = g.add_edge(a, b)
+    return DiscreteDataset(cols, cards), g, sorted_column(x)

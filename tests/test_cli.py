@@ -163,6 +163,18 @@ def test_unknown_schema_kind_is_data_error(workdir):
     assert "data error" in r.output and "'continous'" in r.output
 
 
+def test_duplicate_schema_column_is_data_error(workdir):
+    (workdir / "schema.json").write_text(json.dumps({"columns": [
+        {"name": "a", "kind": "discrete"},
+        {"name": "x", "kind": "continuous"},
+        {"name": "x", "kind": "continuous"}]}))
+    r = run(["learn", "--data", str(workdir / "d.csv"),
+             "--schema", str(workdir / "schema.json"),
+             "--seed", "0", "--restarts", "1", "--out", str(workdir / "o")])
+    assert r.exit_code == 3
+    assert "data error" in r.output and "column 'x' is listed twice" in r.output
+
+
 @pytest.mark.parametrize("flag,value", [("--max-cycles", "0"), ("--k", "0")])
 def test_discretize_bad_flag_is_config_error(workdir, flag, value):
     r = run(_discretize_args(workdir, workdir / "d.csv", flag, value))

@@ -50,7 +50,9 @@ def test_bad_float_row_counts_dropped_rows(tmp_path):
     ('{"columns": [{"kind": "continuous"}]}', "column 1 needs a 'name'"),
     ('{"columns": [{"name": "x"}]}', "column 1 needs a 'name' and a 'kind'"),
     ('{"columns": [{"name": "x", "kind": "continous"}]}', "unknown kind 'continous'"),
-], ids=["malformed_json", "no_name", "no_kind", "unknown_kind"])
+    ('{"columns": [{"name": "x", "kind": "continuous"}, {"name": "x", "kind": "discrete"}]}',
+     "column 'x' is listed twice"),
+], ids=["malformed_json", "no_name", "no_kind", "unknown_kind", "duplicate"])
 def test_bad_schema_file_is_data_error(tmp_path, text, match):
     path = _write(tmp_path, text, "schema.json")
     with pytest.raises(DataError, match=match):
@@ -67,6 +69,20 @@ def test_schema_column_must_exist(tmp_path):
     path = _write(tmp_path, "x\n1.0\n")
     with pytest.raises(DataError, match="'y'"):
         load_csv(path, [{"name": "y", "kind": "continuous"}])
+
+
+@pytest.mark.parametrize("schema, match", [
+    ([{"name": "a", "kind": "discrete"}, {"name": "x", "kind": "continous"}],
+     "column 'x' has unknown kind 'continous'"),
+    ([{"name": "a", "kind": "discrete"}, {"kind": "continuous"}],
+     "column 2 needs a 'name'"),
+    ([{"name": "x", "kind": "continuous"}, {"name": "x", "kind": "continuous"}],
+     "column 'x' is listed twice"),
+], ids=["unknown_kind", "no_name", "duplicate"])
+def test_bad_in_memory_schema_is_data_error(tmp_path, schema, match):
+    path = _write(tmp_path, "a,x\n1,1.0\n2,2.0\n")
+    with pytest.raises(DataError, match=match):
+        load_csv(path, schema)
 
 
 def test_infer_schema():

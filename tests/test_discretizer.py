@@ -1,16 +1,19 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import blanket_instance, random_instance
+from dvbn import discretizer
 from dvbn.counts import build_context
 from dvbn.dataset import DiscreteDataset, SortedColumn, sorted_column
-from dvbn.discretizer import discretize_one, mdl_dp, mdl_objective, mdl_penalty
+from dvbn.discretizer import (bayes_dp, discretize_one, mdl_dp, mdl_objective,
+                              mdl_penalty)
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
 from dvbn.policy import DiscretizationPolicy, midpoint_candidates
-from dvbn.scoring import mdl_h_matrix, objective
+from dvbn.scoring import h_matrix, mdl_h_matrix, neg_log1m_exp, objective
 
 
 def _best_subset(col: SortedColumn, evaluate) -> DiscretizationPolicy:
@@ -204,3 +207,85 @@ def test_mdl_dp_tie_prefers_larger_split():
     assert edges == (2.5,)
     assert total == per_k[1] == mdl_penalty(2, 4, ctx) + 2.0
     assert (edges, total, per_k) == _mdl_dp_reference(col, hmdl, ctx)
+
+
+def _bayes_dp_reference(col: SortedColumn, hm: np.ndarray, L: int):
+    """The Bayesian DP as first written: a scalar loop over every candidate
+    split u of every end v, keeping the last u on ties."""
+    u0 = col.uniques
+    m = col.m
+    rng = float(u0[-1] - u0[0])
+    Lr = L / rng
+    W = [0.0] * (m + 1)
+    for i in range(1, m):
+        W[i] = neg_log1m_exp(L * float(u0[i] - u0[i - 1]) / rng)
+    S = [0.0] * (m + 1)
+    back = [0] * (m + 1)
+    S[1] = W[1] + float(hm[0, 0])
+    for v in range(2, m + 1):
+        col_v = hm[:v, v - 1].tolist()
+        uv = float(u0[v - 1])
+        best = W[v] + col_v[0] + Lr * (uv - float(u0[0]))
+        bu = 0
+        for u in range(1, v):
+            cand = W[v] + col_v[u] + Lr * (uv - float(u0[u])) + S[u]
+            if cand <= best:
+                best, bu = cand, u
+        S[v] = best
+        back[v] = bu
+    return S, back, W
+
+
+def _assert_bayes_dp_matches_reference(d_star, g, col):
+    ctx = build_context(d_star, g, "X", col)
+    hm = h_matrix(ctx, col)
+    dp = bayes_dp(col, hm, ctx.L)
+    assert (dp.S, dp.back, dp.W) == _bayes_dp_reference(col, hm, ctx.L)
+
+
+def test_bayes_dp_matches_reference_loop_exactly():
+    for seed in range(1000):
+        d_star, g, col = random_instance(seed)
+        if col.m > 1:
+            _assert_bayes_dp_matches_reference(d_star, g, col)
+
+
+# B is the largest m whose m x m candidates fit in one block
+B = math.isqrt(discretizer.BLOCK_ELEMENTS)
+
+
+@pytest.mark.parametrize("n, decimals", [(B - 1, None), (B, None), (B + 1, None),
+                                         (3 * B, None), (3 * B, 1)],
+                         ids=["B-1", "B", "B+1", "3B", "3B_tied"])
+def test_bayes_dp_matches_reference_at_block_edges(n, decimals):
+    d_star, g, col = blanket_instance(n, n, decimals)
+    assert (col.m < n) == (decimals is not None)
+    _assert_bayes_dp_matches_reference(d_star, g, col)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_bayes_dp_matches_reference_in_small_blocks(monkeypatch, budget):
+    monkeypatch.setattr(discretizer, "BLOCK_ELEMENTS", budget)
+    for seed in range(200):
+        d_star, g, col = random_instance(seed)
+        if col.m > 1:
+            _assert_bayes_dp_matches_reference(d_star, g, col)
+
+
+def test_bayes_dp_tie_prefers_larger_split():
+    # values 0..3 and L = 3 make Lr = 1 and every edge penalty w.  With
+    # hm[1, 1] = -w the best two-unique prefix costs exactly w, like the
+    # one-unique prefix, so ending at v = 4 the splits u = 1 and u = 2 both
+    # cost (0 + 1) + 2 + w = (0 + 2) + 1 + w.  The later split must win.
+    col = sorted_column(np.array([0.0, 1.0, 2.0, 3.0]))
+    w = neg_log1m_exp(1.0)
+    hm = np.full((4, 4), 100.0)
+    hm[0, 0] = 0.0
+    hm[1, 1] = -w
+    hm[1, 3] = 1.0
+    hm[2, 3] = 2.0
+    dp = bayes_dp(col, hm, 3)
+    assert dp.S[1] == dp.S[2] == w
+    assert dp.back[4] == 2 and dp.back[2] == 1
+    assert dp.S[4] == 3.0 + w
+    assert (dp.S, dp.back, dp.W) == _bayes_dp_reference(col, hm, 3)

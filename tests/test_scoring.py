@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_instance, random_policy
+from conftest import blanket_instance, random_instance, random_policy
+from dvbn import discretizer, scoring
 from dvbn.counts import build_context
 from dvbn.dataset import DiscreteDataset, sorted_column
-from dvbn.errors import ValidationError
+from dvbn.errors import DataError, ValidationError
 from dvbn.graph import Dag
 from dvbn.policy import DiscretizationPolicy
-from dvbn.scoring import (h, h_matrix, log_binom, log_multinomial,
-                          mdl_h_matrix, mdl_interval_term, neg_log1m_exp,
-                          objective, prior_terms)
+from dvbn.scoring import (_occurrence_before, _phi, h, h_matrix, log_binom,
+                          log_multinomial, mdl_h_matrix, mdl_interval_term,
+                          neg_log1m_exp, objective, prior_terms)
 from oracles import oracle_mdl, oracle_objective
 
 
@@ -119,3 +120,105 @@ def test_objective_degenerate_column():
     assert objective(col, ctx, pol) == float(ctx.L)
     with pytest.raises(ValidationError):
         objective(col, ctx, DiscretizationPolicy((2.5,), 2.0, 3.0))
+
+
+# ---------------------------------------------------------------------------
+# The row-blocked kernel builder against the one-boundary-at-a-time loop
+# ---------------------------------------------------------------------------
+
+def _boundary_counts_reference(codes, j, s):
+    m = len(s)
+    out = np.zeros((m, j), dtype=np.int64)
+    prev = 0
+    for u in range(1, m):
+        b = int(s[u - 1])
+        out[u] = out[u - 1] + np.bincount(codes[prev:b], minlength=j)
+        prev = b
+    return out
+
+
+def _kernel_matrix_reference(ctx, col, block_term):
+    """The kernel builder as first written: one cumulative sum per split
+    boundary u over the rows of its own intervals."""
+    m, n, s = col.m, ctx.n, col.last_occurrence
+    hm = np.zeros((m, m))
+    blocks = [(ctx.parent_codes, ctx.j_parent, ctx.parent_codes, None, 1)]
+    blocks += [(grp.child_codes, grp.j_child, grp.pair_codes, grp.spouse_codes,
+                grp.j_spouse) for grp in ctx.children]
+    for value, j, cell, cond, j_cond in blocks:
+        if j <= 1:
+            continue
+        term = block_term(value, j)
+        G, C = _occurrence_before(cell), _boundary_counts_reference(cell, j * j_cond, s)
+        if j_cond > 1:
+            Gc, Cc = _occurrence_before(cond), _boundary_counts_reference(cond, j_cond, s)
+        for u in range(m):
+            a = 0 if u == 0 else int(s[u - 1])
+            c_cell = G[a:] - C[u, cell[a:]]
+            c_cond = Gc[a:] - Cc[u, cond[a:]] if j_cond > 1 else np.arange(n - a)
+            csum = np.cumsum(term(c_cell, c_cond, a))
+            hm[u, u:] += csum[s[u:] - 1 - a]
+    return hm
+
+
+def _h_matrix_reference(ctx, col):
+    def block_term(value, j):
+        return lambda c_cell, c_cond, a: np.log(c_cond + j) - np.log(c_cell + 1)
+    return _kernel_matrix_reference(ctx, col, block_term)
+
+
+def _mdl_h_matrix_reference(ctx, col):
+    log_n = math.log(ctx.n)
+
+    def block_term(value, j):
+        log_m = np.log(np.maximum(np.bincount(value, minlength=j), 1))
+        return lambda c_cell, c_cond, a: -(
+            _phi(c_cell) - log_m[value[a:]] - _phi(c_cond) + log_n)
+    return _kernel_matrix_reference(ctx, col, block_term)
+
+
+def _assert_kernels_match_reference(d_star, g, col):
+    ctx = build_context(d_star, g, "X", col)
+    assert np.array_equal(h_matrix(ctx, col), _h_matrix_reference(ctx, col))
+    assert np.array_equal(mdl_h_matrix(ctx, col), _mdl_h_matrix_reference(ctx, col))
+
+
+def test_kernels_match_reference_loop_exactly():
+    for seed in range(1000):
+        _assert_kernels_match_reference(*random_instance(seed))
+
+
+# B is the side of the largest all-unique column that fits in one block
+B = math.isqrt(scoring.BLOCK_ELEMENTS)
+
+
+@pytest.mark.parametrize("n, decimals", [(B - 1, None), (B, None), (B + 1, None),
+                                         (3 * B, None), (3 * B, 1)],
+                         ids=["B-1", "B", "B+1", "3B", "3B_tied"])
+def test_kernels_match_reference_at_block_edges(n, decimals):
+    d_star, g, col = blanket_instance(n, n, decimals)
+    assert (col.m < n) == (decimals is not None)
+    _assert_kernels_match_reference(d_star, g, col)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_kernels_match_reference_in_small_blocks(monkeypatch, budget):
+    monkeypatch.setattr(scoring, "BLOCK_ELEMENTS", budget)
+    for seed in range(200):
+        _assert_kernels_match_reference(*random_instance(seed))
+
+
+def test_dense_arrays_over_budget_are_refused_before_allocation():
+    # m = 20000 unique values: one m x m float64 kernel would take 3.2 GB
+    m = 20000
+    assert 8 * m * m > scoring.MAX_DENSE_BYTES
+    d_star, g, col = blanket_instance(m, 0)
+    ctx = build_context(d_star, g, "X", col)
+    for build in (h_matrix, mdl_h_matrix):
+        with pytest.raises(DataError, match="20000 unique values"):
+            build(ctx, col)
+    # a zero-stride view stands in for the kernel: nothing m x m is allocated
+    with pytest.raises(DataError, match="MDL layers"):
+        discretizer.mdl_dp(col, np.broadcast_to(0.0, (m, m)), ctx)
+    with pytest.raises(DataError, match="budget"):
+        discretizer.discretize_one(d_star, g, "X", col, method="bayes")
