@@ -1,4 +1,4 @@
-"""Command-line drivers: discretize, learn, evaluate, bench.
+"""Command-line entry points: discretize, learn, evaluate.
 
 All randomness flows from the mandatory ``--seed``; outputs are JSON and CSV
 files under ``--out`` and are bit-reproducible for a fixed seed (wall-time
@@ -15,7 +15,6 @@ import sys
 
 import click
 
-from . import bench as bench_mod
 from .dataset import MixedDataset, load_csv, load_schema
 from .errors import ConfigError, DataError, DvbnError
 from .evaluation import (CvReport, cross_validate, naive_bayes_protocol,
@@ -188,39 +187,6 @@ def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
                 "means": [r.mean for r in reports],
                 "best": max(reports, key=lambda r: r.mean).method}
         _write(out, "cv_comparison.json", json.dumps(comp, indent=2))
-
-
-@main.command()
-@click.option("--n", "n_values", default="250,500,1000,2000",
-              help="comma-separated sample counts")
-@click.option("--seed", type=int, required=True)
-@click.option("--parents", type=int, default=2)
-@click.option("--children", type=int, default=2)
-@click.option("--levels", type=int, default=3)
-@click.option("--spouses", type=int, default=1)
-@click.option("--out", required=True)
-@_handle_errors
-def bench(n_values, seed, parents, children, levels, spouses, out):
-    """Runtime scaling of the two discretizers on synthetic data."""
-    try:
-        n_list = [int(v) for v in n_values.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --n list: {n_values!r}")
-    if not n_list or any(n < 10 for n in n_list):
-        raise ConfigError("--n needs values >= 10")
-    rows, slopes = bench_mod.run_bench(n_list, seed, n_parents=parents,
-                                       n_children=children, levels=levels,
-                                       spouses_per_child=spouses)
-    csv_rows = [{"method": r.method, "n": r.n, "seconds": f"{r.seconds:.6f}",
-                 "k_found": r.k_found,
-                 "slope": f"{slopes[r.method]:.4f}" if r.method in slopes else ""}
-                for r in rows]
-    _write_csv(out, "bench.csv", ["method", "n", "seconds", "k_found", "slope"], csv_rows)
-    _write(out, "bench_slopes.json", json.dumps(slopes, indent=2))
-    for m, s in slopes.items():
-        click.echo(f"{m}: fitted log-log slope {s:.3f}")
-    if not slopes:
-        click.echo("single n value: no slope fitted")
 
 
 def _write_csv(out_dir: str, name: str, fields: list[str], rows: list[dict]) -> str:

@@ -96,16 +96,23 @@ def _binary_entropy(p: float) -> float:
     return -p * math.log(p) - (1 - p) * math.log(1 - p)
 
 
-def mdl_penalty(k: int, m: int, ctx: NeighborContext) -> float:
-    """Terms of the MDL objective that depend only on the interval count."""
-    n = ctx.n
-    params = ctx.j_parent * (k - 1)
-    for grp in ctx.children:
-        params += grp.j_spouse * k * (grp.j_child - 1)
-    total = 0.5 * math.log(n) * params + math.log(k)
+def _param_counts(ctx: NeighborContext) -> tuple[int, int]:
+    """The exact integers ``(a, b)`` such that a policy with k intervals has
+    ``a·k − b`` free parameters in ``x``'s family and its children's."""
+    a = ctx.j_parent + sum(grp.j_spouse * (grp.j_child - 1) for grp in ctx.children)
+    return a, ctx.j_parent
+
+
+def _penalty(k: int, m: int, n: int, a: int, b: int) -> float:
+    total = 0.5 * math.log(n) * (a * k - b) + math.log(k)
     if m > 1:
         total += (m - 1) * _binary_entropy((k - 1) / (m - 1))
     return total
+
+
+def mdl_penalty(k: int, m: int, ctx: NeighborContext) -> float:
+    """Terms of the MDL objective that depend only on the interval count."""
+    return _penalty(k, m, ctx.n, *_param_counts(ctx))
 
 
 def mdl_objective(policy: DiscretizationPolicy, col: SortedColumn,
@@ -124,6 +131,14 @@ def mdl_objective(policy: DiscretizationPolicy, col: SortedColumn,
     return total
 
 
+def mdl_dp_elements(m: int) -> int:
+    """8-byte elements that :func:`mdl_dp` holds at its peak for a column of
+    m unique values: the transposed kernel, one layer buffer, the back
+    pointers of every layer, a few m-vectors, and the iterator buffers
+    (``np.getbufsize()`` elements per operand) of a layer's strided add."""
+    return m * m + (m - 1) ** 2 + m * (m - 1) // 2 + 8 * m + 3 * np.getbufsize()
+
+
 def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     """Layered DP: exact best interval-sum for every interval count k.
 
@@ -132,34 +147,40 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     """
     m = col.m
     u0 = col.uniques
-    check_dense_budget(m, 2, "MDL layers")
-    # rows reversed: row i holds split boundary u = m-1-i, so each layer's
-    # candidates are a leading row slice and argmin's first hit is the larger
-    # u.  Strictly-lower entries (v < u) are meaningless: poison them.
-    hrev = hmdl[::-1].copy()
-    hrev[::-1][np.tril_indices(m, k=-1)] = np.inf
+    check_dense_budget(m, mdl_dp_elements(m), "MDL layers")
+    # hT[v-1, i] covers the interval that ends at v from split u = m-1-i, so
+    # the candidates of one end are a contiguous row and argmin's first hit
+    # is the larger u.  Splits past the end (u > v-1) are meaningless: poison
+    # them.
+    hT = hmdl.T[:, ::-1].copy()
+    for r in range(m - 1):
+        hT[r, :m - 1 - r] = np.inf
+    pen = (ctx.n, *_param_counts(ctx))
 
-    s_prev = hrev[m - 1]                   # k = 1: single interval over prefix
-    per_k = [mdl_penalty(1, m, ctx) + float(s_prev[m - 1])]
-    backs: list[np.ndarray | None] = [None, None]  # backs[k][v-k]: layer k's u
+    s = hmdl[0]                            # k = 1: single interval over prefix
+    per_k = [_penalty(1, m, *pen) + float(s[m - 1])]
+    buf = np.empty((m - 1) * (m - 1))
+    # the r = m-k+1 back pointers of layer k start at r(r-1)/2; entry v-k
+    # holds m-1-u for the best split u of end v
+    backs = np.empty(m * (m - 1) // 2, dtype=np.intp)
     best_k, best_total = 1, per_k[0]
     for k in range(2, m + 1):
-        # candidates u = m-1 .. k-1 for ends v >= k-1; smaller v stay inf
-        a = s_prev[k - 2:m - 1][::-1, None] + hrev[:m - k + 1, k - 1:]
-        arg = np.argmin(a, axis=0)
-        s_new = np.full(m, np.inf)
-        s_new[k - 1:] = a[arg, np.arange(m - k + 1)]
-        total_k = mdl_penalty(k, m, ctx) + float(s_new[m - 1])
+        r = m - k + 1
+        # row j: candidates u = m-1 .. k-1 for end v = k+j; s holds layer
+        # k-1's best sums over the prefixes v-1 = k-2 .. m-1
+        a = np.add(hT[k - 1:, :r], s[-2::-1], out=buf[:r * r].reshape(r, r))
+        arg = np.argmin(a, axis=1, out=backs[r * (r - 1) // 2:r * (r + 1) // 2])
+        s = a[np.arange(r), arg]
+        total_k = _penalty(k, m, *pen) + float(s[r - 1])
         per_k.append(total_k)
-        backs.append(m - 1 - arg)
         if total_k < best_total:
             best_k, best_total = k, total_k
-        s_prev = s_new
 
     edges = []
     v = m
     for k in range(best_k, 1, -1):
-        u = int(backs[k][v - k])
+        r = m - k + 1
+        u = m - 1 - int(backs[r * (r - 1) // 2 + v - k])
         edges.append(float(u0[u - 1] + u0[u]) / 2.0)
         v = u
     return tuple(reversed(edges)), best_total, per_k

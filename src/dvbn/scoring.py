@@ -134,10 +134,11 @@ def _boundary_counts(codes: np.ndarray, j: int, step: np.ndarray, m: int) -> np.
     return np.cumsum(inc[:m], axis=0)
 
 
-def check_dense_budget(m: int, arrays: int, what: str) -> None:
-    """Refuse, before allocating, ``arrays`` dense m×m float64 arrays whose
-    bytes would exceed :data:`MAX_DENSE_BYTES`."""
-    need = arrays * 8 * m * m
+def check_dense_budget(m: int, elements: int, what: str) -> None:
+    """Refuse, before allocating, the ``elements`` 8-byte array elements that
+    a step needs for a column of m unique values when their bytes would
+    exceed :data:`MAX_DENSE_BYTES`."""
+    need = 8 * elements
     if need > MAX_DENSE_BYTES:
         raise DataError(
             f"a column with {m} unique values needs {need / 2**30:.1f} GiB for "
@@ -158,7 +159,7 @@ def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.nd
     zeros those before each boundary's own interval, so every partial sum
     equals the one-boundary cumulative sum bit for bit."""
     m, n, s = col.m, ctx.n, col.last_occurrence
-    check_dense_budget(m, 1, "kernel matrix")
+    check_dense_budget(m, m * m, "kernel matrix")
     hm = np.zeros((m, m))
     a = np.concatenate(([0], s[:-1]))  # a[u]: rows before boundary u's interval
     step = np.searchsorted(a, np.arange(n), side="right")
@@ -215,11 +216,13 @@ def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
     :func:`h_matrix`.  Summed over a partition this equals
     ``-n·[I(X,Pa) + Σ_j I(C_j, Pa(C_j))]`` up to terms constant in the policy."""
     log_n = math.log(ctx.n)
+    # _kernel_matrix clamps the counts into 0..n-1: look their terms up
+    phi = _phi(np.arange(ctx.n + 1))
 
     def block_term(value, j):
         log_m = np.log(np.maximum(np.bincount(value, minlength=j), 1))
         return lambda c_cell, c_cond, a: -(
-            _phi(c_cell) - log_m[value[a:]] - _phi(c_cond) + log_n)
+            phi[c_cell] - log_m[value[a:]] - phi[c_cond] + log_n)
     return _kernel_matrix(ctx, col, block_term)
 
 

@@ -1,15 +1,15 @@
-"""Synthetic-data runtime scaling benchmark for the two discretizers."""
+"""Synthetic single-target data and the runtime-scaling measurement of the
+two discretizers that criterion 7 fits its log-log slopes to."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DiscreteDataset, MixedDataset, Variable, sorted_view
-from .discretizer import discretize_one
-from .graph import Dag
+from dvbn.dataset import DiscreteDataset, MixedDataset, Variable, sorted_view
+from dvbn.discretizer import discretize_one
+from dvbn.graph import Dag
 
 
 def generate_synthetic(n: int, seed: int, n_parents: int = 2, n_children: int = 2,
@@ -56,34 +56,25 @@ def generate_synthetic(n: int, seed: int, n_parents: int = 2, n_children: int = 
     return d, g
 
 
-def _discrete_image(d: MixedDataset) -> DiscreteDataset:
+def discrete_image(d: MixedDataset) -> DiscreteDataset:
+    """The discrete columns of ``d`` plus a placeholder target column, which
+    ``discretize_one`` never reads."""
     cols = {v.name: d.columns[v.name] for v in d.variables if v.kind == "discrete"}
     cards = {v.name: v.cardinality for v in d.variables if v.kind == "discrete"}
-    # target column placeholder; discretize_one never reads it
     cols["X"] = np.ones(d.n_rows, dtype=np.int64)
     cards["X"] = 1
     return DiscreteDataset(cols, cards)
 
 
-@dataclass
-class BenchRow:
-    method: str
-    n: int
-    seconds: float
-    k_found: int
-
-
-def run_bench(n_list: list[int], seed: int, methods=("bayes", "mdl"),
-              n_parents: int = 2, n_children: int = 2, levels: int = 3,
-              spouses_per_child: int = 1, repeats: int = 3):
-    """Process CPU time of one discretization call per (method, n), plus
-    fitted log-log slopes when more than one n is given."""
-    rows: list[BenchRow] = []
+def run_bench(n_list: list[int], seed: int, methods=("bayes", "mdl"), repeats: int = 3):
+    """Least process CPU time over ``repeats`` calls of one discretization
+    per (method, n), as ``(method, n, seconds, k)`` rows, plus fitted log-log
+    slopes for the methods with more than one n."""
+    rows = []
     for n in n_list:
-        d, g = generate_synthetic(n, seed, n_parents, n_children, levels,
-                                  spouses_per_child)
+        d, g = generate_synthetic(n, seed)
         col = sorted_view(d, "X")
-        d_star = _discrete_image(d)
+        d_star = discrete_image(d)
         for method in methods:
             best, pol = None, None
             for _ in range(repeats):
@@ -91,10 +82,10 @@ def run_bench(n_list: list[int], seed: int, methods=("bayes", "mdl"),
                 pol = discretize_one(d_star, g, "X", col, method=method)
                 dt = time.process_time() - t0
                 best = dt if best is None else min(best, dt)
-            rows.append(BenchRow(method, n, best, pol.k))
+            rows.append((method, n, best, pol.k))
     slopes = {}
     for method in methods:
-        pts = [(r.n, r.seconds) for r in rows if r.method == method]
+        pts = [(n, sec) for meth, n, sec, _ in rows if meth == method]
         if len(pts) >= 2:
             xs = np.log([p[0] for p in pts])
             ys = np.log([max(p[1], 1e-9) for p in pts])

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from conftest import random_instance, random_mixed, random_policy
-from dvbn.bench import run_bench
 from dvbn.counts import build_context, interval_counts
 from dvbn.dataset import (DiscreteDataset, MixedDataset, Variable, load_csv,
                           load_schema, sorted_column, sorted_view)
@@ -25,6 +24,7 @@ from dvbn.policy import DiscretizationPolicy, equal_width, policy_from_lambda, r
 from dvbn.scoring import h, mdl_interval_term, objective, prior_terms
 from dvbn.structure import family_score, k2_multi_restart, k2_pass, network_score
 from oracles import oracle_objective
+from synthetic import run_bench
 from test_scoring import to_raw
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")

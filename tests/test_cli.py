@@ -110,13 +110,11 @@ def test_evaluate_fixed_structure(workdir):
 
 
 def test_bench_command(tmp_path):
-    out = tmp_path / "bench"
-    r = run(["bench", "--n", "60,120", "--seed", "0", "--out", str(out)])
-    assert r.exit_code == 0, r.output
-    slopes = json.loads((out / "bench_slopes.json").read_text())
-    assert set(slopes) == {"bayes", "mdl"}
-    r2 = run(["bench", "--n", "5", "--seed", "0", "--out", str(out)])
-    assert r2.exit_code == 2
+    # the synthetic scaling harness lives in the tests (criterion 7) and
+    # perfbench/ is the benchmark: the package has no bench subcommand
+    r = run(["bench", "--n", "60,120", "--seed", "0", "--out", str(tmp_path)])
+    assert r.exit_code == 2
+    assert "No such command" in r.output
 
 
 def test_evaluate_naive_bayes(workdir, data_dir):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from conftest import blanket_instance, random_instance
 from dvbn import discretizer
 from dvbn.counts import build_context
 from dvbn.dataset import DiscreteDataset, SortedColumn, sorted_column
-from dvbn.discretizer import (bayes_dp, discretize_one, mdl_dp, mdl_objective,
-                              mdl_penalty)
+from dvbn.discretizer import (bayes_dp, discretize_one, mdl_dp, mdl_dp_elements,
+                              mdl_objective, mdl_penalty)
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
 from dvbn.policy import DiscretizationPolicy, midpoint_candidates
@@ -150,6 +151,10 @@ def test_returned_objective_is_optimal_substructure():
         assert dp.S[col.m] == pytest.approx(objective(col, ctx, pol), abs=1e-9)
 
 
+# B is the largest m whose m x m candidates fit in one block
+B = math.isqrt(discretizer.BLOCK_ELEMENTS)
+
+
 def _mdl_dp_reference(col: SortedColumn, hmdl: np.ndarray, ctx):
     """The layer loop as first written: each layer gathers and masks the full
     (m-k+1) x m block of split candidates."""
@@ -182,14 +187,44 @@ def _mdl_dp_reference(col: SortedColumn, hmdl: np.ndarray, ctx):
     return tuple(reversed(edges)), best_total, per_k
 
 
+def _assert_mdl_dp_matches_reference(d_star, g, col):
+    ctx = build_context(d_star, g, "X", col)
+    hmdl = mdl_h_matrix(ctx, col)
+    assert mdl_dp(col, hmdl, ctx) == _mdl_dp_reference(col, hmdl, ctx)
+
+
 def test_mdl_dp_matches_reference_layer_loop_exactly():
     for seed in range(1000):
         d_star, g, col = random_instance(seed)
-        if col.m == 1:
-            continue
-        ctx = build_context(d_star, g, "X", col)
-        hmdl = mdl_h_matrix(ctx, col)
-        assert mdl_dp(col, hmdl, ctx) == _mdl_dp_reference(col, hmdl, ctx), seed
+        if col.m > 1:
+            _assert_mdl_dp_matches_reference(d_star, g, col)
+
+
+@pytest.mark.parametrize("n, decimals", [(B - 1, None), (B, None), (B + 1, None),
+                                         (3 * B, None), (3 * B, 1), (700, None)],
+                         ids=["B-1", "B", "B+1", "3B", "3B_tied", "700"])
+def test_mdl_dp_matches_reference_at_large_m(n, decimals):
+    # B as for the Bayesian DP below; 700 all-unique rows is the MDL solve of
+    # perfbench's synth_blanket workload
+    d_star, g, col = blanket_instance(n, n, decimals)
+    assert (col.m < n) == (decimals is not None)
+    _assert_mdl_dp_matches_reference(d_star, g, col)
+
+
+def test_mdl_dp_memory_projection_covers_its_traced_peak():
+    d_star, g, col = blanket_instance(700, 700)
+    ctx = build_context(d_star, g, "X", col)
+    hmdl = mdl_h_matrix(ctx, col)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mdl_dp(col, hmdl, ctx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    projected = 8 * mdl_dp_elements(col.m)
+    # the projection covers the peak, and not by much: it counts what is held
+    assert 0.9 * projected <= peak <= projected
 
 
 def test_mdl_dp_tie_prefers_larger_split():
@@ -248,10 +283,6 @@ def test_bayes_dp_matches_reference_loop_exactly():
         d_star, g, col = random_instance(seed)
         if col.m > 1:
             _assert_bayes_dp_matches_reference(d_star, g, col)
-
-
-# B is the largest m whose m x m candidates fit in one block
-B = math.isqrt(discretizer.BLOCK_ELEMENTS)
 
 
 @pytest.mark.parametrize("n, decimals", [(B - 1, None), (B, None), (B + 1, None),

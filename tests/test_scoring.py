@@ -201,6 +201,15 @@ def test_kernels_match_reference_at_block_edges(n, decimals):
     _assert_kernels_match_reference(d_star, g, col)
 
 
+def test_mdl_kernel_matches_reference_when_one_configuration_holds_every_row():
+    # every block sees one cell and one condition, so the counts reach n-1:
+    # the top entry of mdl_h_matrix's phi table
+    d_star, g, col = blanket_instance(300, 0)
+    ones = {name: np.ones(col.n, dtype=np.int64) for name in d_star.columns}
+    ctx = build_context(DiscreteDataset(ones, d_star.cardinalities), g, "X", col)
+    assert np.array_equal(mdl_h_matrix(ctx, col), _mdl_h_matrix_reference(ctx, col))
+
+
 @pytest.mark.parametrize("budget", [1, 7, 40])
 def test_kernels_match_reference_in_small_blocks(monkeypatch, budget):
     monkeypatch.setattr(scoring, "BLOCK_ELEMENTS", budget)
