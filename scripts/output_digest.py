@@ -1,16 +1,22 @@
-"""Print one sha256 digest over the solvers' outputs, to show that a change
-leaves every output bit-identical.
+"""Print two sha256 digests, one over the solvers' outputs and one over K2's,
+to show that a change leaves every output bit-identical.
 
     python3 scripts/output_digest.py
 
-Run it on two checkouts and compare the digests.  It covers ``h_matrix``,
+Run it on two checkouts and compare the digests.  The solver digest covers
+``h_matrix``,
 ``mdl_h_matrix``, ``bayes_dp`` ``(S, back, W)`` and ``mdl_dp`` ``(edges,
 total, per_k)`` on ``random_instance`` seeds 0-999 and on the synthetic
 generator of ``tests/synthetic.py`` at n = 300, 700 and 2000, and the
 ``PolicySet`` of ``discretize_all`` on ``random_mixed`` seeds 0-299 with each
-of the methods bayes and mdl.  It imports the package from ``src/`` and the
-generators from ``tests/`` of the checkout it sits in.  The n=2000 MDL solve
-takes most of its time, several seconds of CPU.
+of the methods bayes and mdl.  The K2 digest covers ``k2_multi_restart``
+(graph with its edges in insertion order, score and restart) with 1000
+restarts on the equal-width k=3 images of Wine and Iris, seeds 0-4;
+``k2_pass`` and 4-restart ``k2_multi_restart`` on ``random_discrete`` seeds
+0-299 with ``max_parents`` None, 0, 1 and 2; and the JSON of 3-restart
+``multi_restart`` on ``random_mixed`` seeds 0-59.  It imports the package from
+``src/`` and the generators from ``tests/`` of the checkout it sits in.  The
+n=2000 MDL solve takes most of its time, several seconds of CPU.
 """
 
 import hashlib
@@ -23,12 +29,14 @@ import numpy as np
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from conftest import random_instance, random_mixed  # noqa: E402
+from conftest import random_discrete, random_instance, random_mixed  # noqa: E402
 from dvbn.counts import build_context  # noqa: E402
-from dvbn.dataset import sorted_view  # noqa: E402
+from dvbn.dataset import load_csv, load_schema, sorted_column, sorted_view  # noqa: E402
 from dvbn.discretizer import bayes_dp, mdl_dp  # noqa: E402
-from dvbn.multivar import discretize_all  # noqa: E402
+from dvbn.multivar import apply_policies, discretize_all  # noqa: E402
+from dvbn.policy import equal_width  # noqa: E402
 from dvbn.scoring import h_matrix, mdl_h_matrix  # noqa: E402
+from dvbn.structure import k2_multi_restart, k2_pass, multi_restart  # noqa: E402
 from synthetic import discrete_image, generate_synthetic  # noqa: E402
 
 
@@ -50,7 +58,7 @@ def instances():
         yield f"synthetic {n}", discrete_image(d), g, sorted_view(d, "X")
 
 
-def main() -> None:
+def solver_digest() -> str:
     digest = hashlib.sha256()
     for name, d_star, g, col in instances():
         digest.update(name.encode())
@@ -65,7 +73,46 @@ def main() -> None:
         d, g = random_mixed(seed)
         for method in ("bayes", "mdl"):
             digest.update(repr(discretize_all(d, g, method=method)).encode())
-    print(digest.hexdigest())
+    return digest.hexdigest()
+
+
+def equal_width_image(name: str, k: int = 3):
+    path = os.path.join(ROOT, "data", name)
+    d = load_csv(path + ".csv", load_schema(path + ".schema.json"))
+    return apply_policies(d, {x: equal_width(sorted_column(d.columns[x]), k)
+                              for x in d.continuous_names()})
+
+
+def k2_outputs():
+    for name in ("wine", "iris"):
+        image = equal_width_image(name)
+        for seed in range(5):
+            g, score, restart = k2_multi_restart(image, 1000, seed)
+            yield f"{name} {seed}", g.to_json(), score, restart
+    for seed in range(300):
+        d = random_discrete(seed)
+        names = list(d.columns)
+        order = [names[i] for i in np.random.default_rng(seed).permutation(len(names))]
+        for max_parents in (None, 0, 1, 2):
+            g, score, restart = k2_multi_restart(d, 4, seed, max_parents)
+            yield (f"random_discrete {seed} {max_parents}",
+                   k2_pass(d, order, max_parents).to_json(), g.to_json(), score, restart)
+    for seed in range(60):
+        d, _ = random_mixed(seed)
+        yield f"random_mixed {seed}", multi_restart(d, 3, seed).to_json()
+
+
+def k2_digest() -> str:
+    warnings.filterwarnings("ignore", "discretization did not converge")
+    digest = hashlib.sha256()
+    for out in k2_outputs():
+        digest.update(repr(out).encode())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    print("solvers", solver_digest())
+    print("k2", k2_digest())
 
 
 if __name__ == "__main__":

@@ -58,8 +58,13 @@ class Dag:
 
     def add_edge(self, parent: str, child: str) -> "Dag":
         """Return a new Dag with the edge added; raises on cycles/duplicates."""
+        return self.add_edges([(parent, child)])
+
+    def add_edges(self, edges) -> "Dag":
+        """Return a new Dag with ``(parent, child)`` edges added in order."""
         g = self.copy()
-        g._insert(parent, child)
+        for parent, child in edges:
+            g._insert(parent, child)
         return g
 
     def with_cardinality(self, name: str, cardinality: int) -> "Dag":

@@ -41,40 +41,63 @@ def network_score(g: Dag, d_star: DiscreteDataset, cache: dict | None = None) ->
     return sum(family_score(x, g.parents(x), d_star, cache) for x in g.nodes)
 
 
+def _ranking(x: str, parents: tuple, d_star: DiscreteDataset, cache: dict) -> list:
+    """Every parent ``x`` could add to ``parents``, as ``(family score, name)``
+    pairs best first; built once per family and kept in ``cache``."""
+    key = (x, parents, "ranked")
+    ranking = cache.get(key)
+    if ranking is None:
+        ranking = cache[key] = sorted(
+            ((family_score(x, parents + (y,), d_star, cache), y)
+             for y in d_star.columns if y != x and y not in parents),
+            reverse=True)
+    return ranking
+
+
 def k2_pass(d_star: DiscreteDataset, order: list[str],
             max_parents: int | None = None, cache: dict | None = None,
             g: Dag | None = None, on_accept=None) -> Dag:
     """Greedy K2 over a fixed ordering: each node takes the best-scoring
     predecessor repeatedly while the family score strictly improves.
 
-    ``g`` is the edgeless starting graph (default: nodes in ``order``).  After
-    each accepted edge, ``on_accept(g)``, if given, returns the graph and the
-    discretized data to continue on; the score cache is then cleared and the
-    node's family rescored on the new data.
+    Each family ``(x, sorted parents)`` ranks every column it could add once,
+    by ``(score, name)`` best first, and keeps the ranking in ``cache`` beside
+    the family scores (a local dict when ``cache`` is None).  A step takes the
+    first ranked candidate that precedes ``x`` in ``order``: the best score,
+    ties to the larger name.  Rankings do not depend on the order, so the
+    restarts of :func:`k2_multi_restart` share them.
+
+    ``g`` is the edgeless starting graph (default: nodes in ``order``).
+    Without ``on_accept`` the accepted edges are added to ``g`` once, in
+    acceptance order, at the end.  With it, each accepted edge is added at
+    once and ``on_accept(g)`` returns the graph and the discretized data to
+    continue on; the cache, rankings included, is then cleared and the node's
+    family rescored on the new data.
     """
+    if cache is None:
+        cache = {}
     if g is None:
         g = Dag({x: d_star.cardinalities[x] for x in order})
-    for i, x in enumerate(order):
-        pa: list[str] = []
+    accepted: list[tuple[str, str]] = []
+    before: set[str] = set()
+    for x in order:
+        pa: tuple[str, ...] = ()
         p_old = family_score(x, pa, d_star, cache)
         while max_parents is None or len(pa) < max_parents:
-            candidates = [y for y in order[:i] if y not in pa]
-            if not candidates:
+            best = next((t for t in _ranking(x, pa, d_star, cache)
+                         if t[1] in before), None)
+            if best is None or best[0] <= p_old:
                 break
-            scored = [(family_score(x, pa + [y], d_star, cache), y) for y in candidates]
-            best_score, best_y = max(scored, key=lambda t: (t[0], t[1]))
-            if best_score <= p_old:
-                break
-            g = g.add_edge(best_y, x)
-            pa.append(best_y)
+            p_old, y = best
+            pa = tuple(sorted(pa + (y,)))
             if on_accept is None:
-                p_old = best_score
+                accepted.append((y, x))
             else:
-                g, d_star = on_accept(g)
-                if cache is not None:
-                    cache.clear()
+                g, d_star = on_accept(g.add_edge(y, x))
+                cache.clear()
                 p_old = family_score(x, pa, d_star, cache)
-    return g
+        before.add(x)
+    return g.add_edges(accepted)
 
 
 @dataclass

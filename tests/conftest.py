@@ -81,6 +81,27 @@ def random_mixed(seed: int, n_max: int = 14):
     return d, g
 
 
+def random_discrete(seed: int) -> DiscreteDataset:
+    """Small discrete dataset whose columns are random, noisy copies of an
+    earlier column, or exact duplicates of one (so family scores tie)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 41))
+    cols, cards = {}, {}
+    for j in range(int(rng.integers(2, 8))):
+        name = "V" + "abcdefg"[j]
+        kind = rng.integers(3) if cols else 0
+        if kind == 0:
+            cards[name] = int(rng.integers(2, 5))
+            cols[name] = rng.integers(1, cards[name] + 1, n).astype(np.int64)
+            continue
+        src = list(cols)[int(rng.integers(len(cols)))]
+        cols[name], cards[name] = cols[src].copy(), cards[src]
+        if kind == 1:  # noisy copy
+            flip = rng.random(n) < 0.2
+            cols[name][flip] = rng.integers(1, cards[name] + 1, int(flip.sum()))
+    return DiscreteDataset(cols, cards)
+
+
 def blanket_instance(n: int, seed: int, decimals: int | None = None):
     """Target column of ``n`` rows with a parent, a child with a spouse and a
     child without one, so every kernel block kind occurs.  Values are unique

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_mixed
+from conftest import random_discrete, random_mixed
+from dvbn import structure
 from dvbn.dataset import DiscreteDataset, MixedDataset, Variable
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
@@ -111,3 +113,83 @@ def test_multi_restart_deterministic_and_best():
     import json
     doc = json.loads(r1.to_json())
     assert {"score", "graph", "policies"} <= set(doc)
+
+
+def _k2_pass_reference(d_star, order, max_parents=None, cache=None, g=None,
+                       on_accept=None):
+    """The greedy loop before per-family rankings: every step re-scores each
+    remaining predecessor and takes the max of (score, name)."""
+    if g is None:
+        g = Dag({x: d_star.cardinalities[x] for x in order})
+    for i, x in enumerate(order):
+        pa = []
+        p_old = family_score(x, pa, d_star, cache)
+        while max_parents is None or len(pa) < max_parents:
+            candidates = [y for y in order[:i] if y not in pa]
+            if not candidates:
+                break
+            scored = [(family_score(x, pa + [y], d_star, cache), y) for y in candidates]
+            best_score, best_y = max(scored, key=lambda t: (t[0], t[1]))
+            if best_score <= p_old:
+                break
+            g = g.add_edge(best_y, x)
+            pa.append(best_y)
+            if on_accept is None:
+                p_old = best_score
+            else:
+                g, d_star = on_accept(g)
+                if cache is not None:
+                    cache.clear()
+                p_old = family_score(x, pa, d_star, cache)
+    return g
+
+
+@pytest.mark.parametrize("max_parents", [None, 0, 1, 2])
+def test_k2_matches_reference_loop_exactly(monkeypatch, max_parents):
+    for seed in range(300):
+        d = random_discrete(seed)
+        order = [list(d.columns)[i] for i in
+                 np.random.default_rng(seed).permutation(len(d.columns))]
+        want = _k2_pass_reference(d, order, max_parents)
+        for cache in (None, {}):
+            g = k2_pass(d, order, max_parents, cache=cache)
+            assert g.edges == want.edges, seed
+            assert g.to_json() == want.to_json(), seed
+        got = k2_multi_restart(d, 4, seed=seed, max_parents=max_parents)
+        with monkeypatch.context() as m:
+            m.setattr(structure, "k2_pass", _k2_pass_reference)
+            ref = k2_multi_restart(d, 4, seed=seed, max_parents=max_parents)
+        assert got[1:] == ref[1:], seed
+        assert got[0] == ref[0] and got[0].edges == ref[0].edges, seed
+
+
+def test_k2_ties_go_to_the_larger_name():
+    # a and b are the same column, so x|a and x|b score exactly alike
+    rng = np.random.default_rng(0)
+    a = rng.integers(1, 3, 30).astype(np.int64)
+    x = np.where(rng.random(30) < 0.9, a, 3 - a).astype(np.int64)
+    d = DiscreteDataset({"a": a, "b": a.copy(), "x": x}, {"a": 2, "b": 2, "x": 2})
+    assert family_score("x", ["a"], d) == family_score("x", ["b"], d)
+    for order in (["a", "b", "x"], ["b", "a", "x"]):
+        for max_parents in (None, 1):
+            assert k2_pass(d, order, max_parents).parents("x") == ["b"]
+            assert _k2_pass_reference(d, order, max_parents).parents("x") == ["b"]
+
+
+def test_joint_learn_matches_reference_loop_exactly(monkeypatch):
+    # random_mixed has continuous columns, so every accept rediscretizes and
+    # clears the cache (the on_accept path)
+    edges = 0
+    for seed in range(40):
+        d, _ = random_mixed(seed)
+        max_parents = [None, 1, 2][seed % 3]
+        order = list(d.names)[::-1]
+        got = (learn_dvbn(d, order, max_parents=max_parents).to_json(),
+               multi_restart(d, 3, seed=seed, max_parents=max_parents).to_json())
+        with monkeypatch.context() as m:
+            m.setattr(structure, "k2_pass", _k2_pass_reference)
+            want = (learn_dvbn(d, order, max_parents=max_parents).to_json(),
+                    multi_restart(d, 3, seed=seed, max_parents=max_parents).to_json())
+        assert got == want, seed
+        edges += len(json.loads(got[1])["graph"]["edges"])
+    assert edges > 40
