@@ -1,5 +1,6 @@
-"""Print two sha256 digests, one over the solvers' outputs and one over K2's,
-to show that a change leaves every output bit-identical.
+"""Print three sha256 digests, over the solvers' outputs, over K2's and over
+the reference evaluators', to show that a change leaves every output
+bit-identical.
 
     python3 scripts/output_digest.py
 
@@ -14,12 +15,17 @@ of the methods bayes and mdl.  The K2 digest covers ``k2_multi_restart``
 restarts on the equal-width k=3 images of Wine and Iris, seeds 0-4;
 ``k2_pass`` and 4-restart ``k2_multi_restart`` on ``random_discrete`` seeds
 0-299 with ``max_parents`` None, 0, 1 and 2; and the JSON of 3-restart
-``multi_restart`` on ``random_mixed`` seeds 0-59.  It imports the package from
+``multi_restart`` on ``random_mixed`` seeds 0-59.  The reference digest covers
+``mdl_interval_term`` on every boundary interval, and ``mdl_objective`` and
+``objective`` of ``random_policy``, on ``random_instance`` seeds 0-999; and
+``family_score`` of every family with up to two parents on
+``random_discrete`` seeds 0-299.  It imports the package from
 ``src/`` and the generators from ``tests/`` of the checkout it sits in.  The
 n=2000 MDL solve takes most of its time, several seconds of CPU.
 """
 
 import hashlib
+import itertools
 import os
 import sys
 import warnings
@@ -29,14 +35,16 @@ import numpy as np
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from conftest import random_discrete, random_instance, random_mixed  # noqa: E402
+from conftest import (random_discrete, random_instance, random_mixed,  # noqa: E402
+                      random_policy)
 from dvbn.counts import build_context  # noqa: E402
 from dvbn.dataset import load_csv, load_schema, sorted_column, sorted_view  # noqa: E402
-from dvbn.discretizer import bayes_dp, mdl_dp  # noqa: E402
+from dvbn.discretizer import bayes_dp, mdl_dp, mdl_objective  # noqa: E402
 from dvbn.multivar import apply_policies, discretize_all  # noqa: E402
 from dvbn.policy import equal_width  # noqa: E402
-from dvbn.scoring import h_matrix, mdl_h_matrix  # noqa: E402
-from dvbn.structure import k2_multi_restart, k2_pass, multi_restart  # noqa: E402
+from dvbn.scoring import h_matrix, mdl_h_matrix, mdl_interval_term, objective  # noqa: E402
+from dvbn.structure import (family_score, k2_multi_restart, k2_pass,  # noqa: E402
+                            multi_restart)
 from synthetic import discrete_image, generate_synthetic  # noqa: E402
 
 
@@ -110,9 +118,36 @@ def k2_digest() -> str:
     return digest.hexdigest()
 
 
+def reference_outputs():
+    for seed in range(1000):
+        d_star, g, col = random_instance(seed)
+        ctx = build_context(d_star, g, "X", col)
+        s = col.last_occurrence
+        a = [0, *s[:-1]]
+        yield seed, [mdl_interval_term(ctx, int(a[u]) + 1, int(s[v]))
+                     for u in range(col.m) for v in range(u, col.m)]
+        policy = random_policy(seed, col)
+        yield seed, mdl_objective(policy, col, ctx), objective(col, ctx, policy)
+    for seed in range(300):
+        d = random_discrete(seed)
+        for x in d.columns:
+            others = [y for y in d.columns if y != x]
+            for k in range(3):
+                for parents in itertools.combinations(others, k):
+                    yield seed, x, parents, family_score(x, parents, d)
+
+
+def reference_digest() -> str:
+    digest = hashlib.sha256()
+    for out in reference_outputs():
+        digest.update(repr(out).encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     print("solvers", solver_digest())
     print("k2", k2_digest())
+    print("reference", reference_digest())
 
 
 if __name__ == "__main__":

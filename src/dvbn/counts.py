@@ -21,9 +21,7 @@ from .graph import Dag
 class ChildGroup:
     """Per-child flattened codes: child value and joint spouse instantiation."""
 
-    name: str
     j_child: int
-    spouses: tuple[str, ...]
     j_spouse: int
     child_codes: np.ndarray   # 0-based, sorted-row order
     spouse_codes: np.ndarray  # 0-based joint spouse codes
@@ -88,8 +86,8 @@ def build_context(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn) ->
         scards = [cards[s] for s in names]
         spouse_codes, j_spouse = joint_codes(scols, scards, n)
         pair_codes, _ = joint_codes(scols + [ccol], scards + [cards[child]], n)
-        groups.append(ChildGroup(child, cards[child], tuple(names), j_spouse,
-                                 ccol - 1, spouse_codes, pair_codes))
+        groups.append(ChildGroup(cards[child], j_spouse, ccol - 1,
+                                 spouse_codes, pair_codes))
     L = g.markov_blanket_max_cardinality(x)
     return NeighborContext(n=n, j_parent=j_parent,
                            parent_codes=parent_codes, children=groups, L=L)

@@ -118,9 +118,12 @@ class SortedColumn:
 
 
 def _check_schema(columns, where: str) -> None:
-    """Every entry of a schema's ``columns`` list needs a unique string
-    ``name`` and a ``kind`` of ``"continuous"`` or ``"discrete"``; anything
-    else is a :class:`DataError` that starts with ``where``."""
+    """A schema's ``columns`` list must not be empty, and every entry needs a
+    unique string ``name`` and a ``kind`` of ``"continuous"`` or
+    ``"discrete"``; anything else is a :class:`DataError` that starts with
+    ``where``."""
+    if not columns:
+        raise DataError(f"{where}: 'columns' is empty")
     seen = set()
     for i, c in enumerate(columns):
         if not isinstance(c, dict) or not isinstance(c.get("name"), str) or "kind" not in c:
@@ -147,21 +150,20 @@ def load_schema(path: str) -> list[dict]:
 
 
 def infer_schema(header: list[str], rows: list[list[str]]) -> list[dict]:
-    """Heuristic: a column is discrete iff it has few distinct, all-integral values."""
+    """Heuristic: a column is discrete iff it has a non-numeric cell (a
+    label), or at most :data:`MAX_DISCRETE_LEVELS` distinct values that are
+    all integral."""
     cols = []
     for j, name in enumerate(header):
         cells = [r[j] for r in rows if r[j] not in MISSING_TOKENS]
-        integral = True
-        for c in cells:
-            try:
-                x = float(c)
-            except ValueError:
-                integral = True  # categorical labels count as discrete
-                break
-            if x != int(x):
-                integral = False
-                break
-        kind = "discrete" if integral and len(set(cells)) <= MAX_DISCRETE_LEVELS else "continuous"
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:  # categorical labels, however many
+            kind = "discrete"
+        else:
+            few = len(set(cells)) <= MAX_DISCRETE_LEVELS
+            integral = all(x.is_integer() for x in values)
+            kind = "discrete" if few and integral else "continuous"
         cols.append({"name": name, "kind": kind})
     return cols
 

@@ -4,7 +4,9 @@ All combinatorial factors are evaluated with log-gamma; nothing computes a
 raw factorial.  Besides the direct per-interval kernel, this module builds
 the upper-triangular kernel matrices over unique-value boundaries that the
 dynamic programs consume: entry ``(u, v)`` covers sorted rows
-``s_u + 1 .. s_v`` (with ``s_0 = 0``).
+``s_u + 1 .. s_v`` (with ``s_0 = 0``).  It also keeps the tables of ln Γ(k)
+and k·ln k over integer counts that the K2 family score and the MDL kernel
+gather from.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from .counts import NeighborContext, interval_counts
 from .dataset import SortedColumn
 from .errors import DataError, ValidationError
+from .policy import representations
 
 #: Elements per block of the vectorized kernel builder and Bayesian DP.  Each
 #: of a block's temporaries then stays under 128 KiB: below glibc's default
@@ -31,6 +33,90 @@ BLOCK_ELEMENTS = 16_000
 #: kernel matrix of up to 11,585 unique values.  Larger requests raise
 #: :class:`DataError` before anything is allocated.
 MAX_DENSE_BYTES = 1 << 30
+
+
+# ---------------------------------------------------------------------------
+# Tables over integer counts
+# ---------------------------------------------------------------------------
+
+class _CountTable:
+    """``f(k)`` for the integers k = 0, 1, 2, ..., grown by doubling when a
+    larger k is asked for.  Entries are written once and never change, so a
+    value does not depend on which counts were asked for before it."""
+
+    def __init__(self, entries):
+        self._entries = entries  # entries(lo, hi): f(k) for k = lo..hi-1
+        self._values = np.empty(0)
+
+    def __call__(self, top: int) -> np.ndarray:
+        """A read-only array that holds ``f(k)`` at index k for k = 0..top
+        (and possibly beyond)."""
+        have = len(self._values)
+        if top >= have:
+            size = max(top + 1, 2 * have)
+            values = np.concatenate((self._values, self._entries(have, size)))
+            values.flags.writeable = False
+            self._values = values
+        return self._values
+
+
+def _logs(lo: int, hi: int) -> np.ndarray:
+    """ln k for k = lo..hi-1 (lo ≥ 1) by ``math.log``, the C library's log.
+    ``np.log`` differs from it in the last bit on some integers."""
+    return np.fromiter(map(math.log, range(lo, hi)), float, hi - lo)
+
+
+def _klogk_entries(lo: int, hi: int) -> np.ndarray:
+    """k·ln k for k = lo..hi-1, with 0·ln 0 = 0."""
+    out = np.zeros(hi - lo)
+    first = max(lo, 1)
+    out[first - lo:] = np.arange(first, hi) * _logs(first, hi)
+    return out
+
+
+# The Cephes ``lgam`` routine, which ``scipy.special.gammaln`` runs.  Its
+# bits matter: K2 compares family scores for exact ties (ties go to the larger
+# name), and a score that moves in its last bit can turn a tie into a win, so
+# any other ln Γ (``math.lgamma`` among them) changes learned graphs.
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_LGAM_LS2PI = 0.91893853320467274178  # ln √(2π)
+
+
+def _log_gamma_entries(lo: int, hi: int) -> np.ndarray:
+    """ln Γ(k) for k = lo..hi-1 as Cephes ``lgam`` computes it: the log of
+    the exact factorial (k-1)! below 13 (ln Γ(0) = inf), and above it the
+    Stirling series, with a shorter tail from 1000 on and none above 1e8."""
+    out = np.empty(hi - lo)
+    small = range(lo, min(hi, 13))
+    out[:len(small)] = [math.log(math.factorial(k - 1)) if k else math.inf
+                        for k in small]
+    first = max(lo, 13)
+    if first < hi:
+        x = np.arange(first, hi, dtype=float)
+        q = (x - 0.5) * _logs(first, hi) - x + _LGAM_LS2PI
+        p = 1.0 / (x * x)
+        poly = _LGAM_A[0]
+        for a in _LGAM_A[1:]:
+            poly = poly * p + a
+        tail = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                + 0.0833333333333333333333)
+        series = np.where(x >= 1000.0, tail, poly) / x
+        out[first - lo:] = np.where(x > 1.0e8, q, q + series)
+    return out
+
+
+#: ``log_gamma_table(top)[k]`` is ln Γ(k), bit-equal to ``gammaln(k)``.
+log_gamma_table = _CountTable(_log_gamma_entries)
+#: ``klogk_table(top)[k]`` is k·ln k, bit-equal to ``xlogy(k, k)``.
+klogk_table = _CountTable(_klogk_entries)
+
+
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x·ln y elementwise, 0 where x is 0."""
+    return np.array([a * math.log(b) if a else 0.0
+                     for a, b in zip(x.flat, y.flat)]).reshape(x.shape)
 
 
 def log_binom(n: int, r: int) -> float:
@@ -94,8 +180,6 @@ def h(ctx: NeighborContext, u: int, v: int) -> float:
 
 def objective(col: SortedColumn, ctx: NeighborContext, policy) -> float:
     """Negative log of prior times neighbor likelihood for a policy."""
-    from .policy import representations  # local import avoids a cycle
-
     if col.uniques[0] == col.uniques[-1]:
         # degenerate column: only the single-interval policy is meaningful
         if policy.k != 1:
@@ -206,9 +290,10 @@ def h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
 
 
 def _phi(c: np.ndarray) -> np.ndarray:
-    """(c+1)ln(c+1) - c ln c with the 0 ln 0 = 0 convention."""
-    c = np.asarray(c, dtype=float)
-    return xlogy(c + 1, c + 1) - xlogy(c, c)
+    """(c+1)ln(c+1) - c ln c at integer counts c ≥ 0 (0 ln 0 = 0)."""
+    c = np.asarray(c)
+    t = klogk_table(int(c.max(initial=0)) + 1)
+    return t[c + 1] - t[c]
 
 
 def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
@@ -235,9 +320,7 @@ def mdl_interval_term(ctx: NeighborContext, a: int, b: int) -> float:
     if ctx.j_parent > 1:
         N = np.bincount(ctx.parent_codes, minlength=ctx.j_parent)
         c = table.parent_counts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = xlogy(c, c * n / (gamma * np.maximum(N, 1)))
-        total += float(np.sum(contrib))
+        total += float(np.sum(_xlogy(c, c * n / (gamma * np.maximum(N, 1)))))
     for j, grp in enumerate(ctx.children):
         if grp.j_child <= 1:
             continue
@@ -245,7 +328,5 @@ def mdl_interval_term(ctx: NeighborContext, a: int, b: int) -> float:
         pair = table.child_tables[j]          # (J_C, J_S)
         t = pair.sum(axis=0)                  # interval-spouse marginals
         denom = np.maximum(np.outer(M, np.maximum(t, 1)), 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = xlogy(pair, pair * n / denom)
-        total += float(np.sum(contrib))
+        total += float(np.sum(_xlogy(pair, pair * n / denom)))
     return -total

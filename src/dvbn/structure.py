@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .counts import family_counts
 from .dataset import DiscreteDataset, MixedDataset
@@ -19,6 +18,7 @@ from .errors import ValidationError
 from .graph import Dag
 from .multivar import (PolicySet, apply_policies, discretize_all,
                        graph_with_cardinalities)
+from .scoring import log_gamma_table
 
 
 def family_score(x: str, parents, d_star: DiscreteDataset,
@@ -31,7 +31,8 @@ def family_score(x: str, parents, d_star: DiscreteDataset,
     beta = family_counts(d_star, x, parents)
     beta0 = beta.sum(axis=1)
     # alpha = 1 everywhere, so alpha0 = r and lgamma(alpha) = 0
-    score = float(np.sum(gammaln(r) - gammaln(r + beta0)) + np.sum(gammaln(1 + beta)))
+    lg = log_gamma_table(r + d_star.n_rows)
+    score = float(np.sum(lg[r] - lg[r + beta0]) + np.sum(lg[1 + beta]))
     if cache is not None:
         cache[(x, parents)] = score
     return score

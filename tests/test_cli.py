@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +117,27 @@ def test_bench_command(tmp_path):
     r = run(["bench", "--n", "60,120", "--seed", "0", "--out", str(tmp_path)])
     assert r.exit_code == 2
     assert "No such command" in r.output
+
+
+def test_package_does_not_import_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    code = ("import sys, dvbn, dvbn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["learn", "evaluate"])
+def test_empty_schema_is_data_error(workdir, command):
+    schema = workdir / "empty.schema.json"
+    schema.write_text(json.dumps({"columns": []}))
+    extra = {"learn": ["--restarts", "1"],
+             "evaluate": ["--method", "bayes"]}
+    r = run([command, "--data", str(workdir / "d.csv"), "--schema", str(schema),
+             "--seed", "0", "--out", str(workdir / "o"), *extra[command]])
+    assert r.exit_code == 3, r.output
+    assert "data error" in r.output and f"schema {schema}: 'columns' is empty" in r.output
 
 
 def test_evaluate_naive_bayes(workdir, data_dir):

@@ -52,7 +52,8 @@ def test_bad_float_row_counts_dropped_rows(tmp_path):
     ('{"columns": [{"name": "x", "kind": "continous"}]}', "unknown kind 'continous'"),
     ('{"columns": [{"name": "x", "kind": "continuous"}, {"name": "x", "kind": "discrete"}]}',
      "column 'x' is listed twice"),
-], ids=["malformed_json", "no_name", "no_kind", "unknown_kind", "duplicate"])
+    ('{"columns": []}', "schema .*: 'columns' is empty"),
+], ids=["malformed_json", "no_name", "no_kind", "unknown_kind", "duplicate", "empty"])
 def test_bad_schema_file_is_data_error(tmp_path, text, match):
     path = _write(tmp_path, text, "schema.json")
     with pytest.raises(DataError, match=match):
@@ -78,7 +79,8 @@ def test_schema_column_must_exist(tmp_path):
      "column 2 needs a 'name'"),
     ([{"name": "x", "kind": "continuous"}, {"name": "x", "kind": "continuous"}],
      "column 'x' is listed twice"),
-], ids=["unknown_kind", "no_name", "duplicate"])
+    ([], "schema: 'columns' is empty"),
+], ids=["unknown_kind", "no_name", "duplicate", "empty"])
 def test_bad_in_memory_schema_is_data_error(tmp_path, schema, match):
     path = _write(tmp_path, "a,x\n1,1.0\n2,2.0\n")
     with pytest.raises(DataError, match=match):
@@ -91,6 +93,27 @@ def test_infer_schema():
     schema = infer_schema(header, rows)
     kinds = {c["name"]: c["kind"] for c in schema}
     assert kinds == {"a": "discrete", "b": "continuous", "c": "discrete"}
+
+
+def test_infer_schema_labels_are_discrete_at_any_level_count():
+    header = ["city", "mixed", "n", "big"]
+    rows = [[f"c{i}", "x" if i == 7 else str(i), str(i), "inf" if i else "1"]
+            for i in range(25)]
+    kinds = {c["name"]: c["kind"] for c in infer_schema(header, rows)}
+    # 25 distinct integers make a numeric column continuous, and inf is not
+    # integral; a column with a label is discrete at any level count
+    assert kinds == {"city": "discrete", "mixed": "discrete",
+                     "n": "continuous", "big": "continuous"}
+
+
+def test_many_label_column_loads_without_schema(tmp_path):
+    rng = np.random.default_rng(0)
+    lines = ["city,x"] + [f"c{i % 25},{rng.normal():.3f}" for i in range(60)]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.warns(UserWarning, match="'city' has 25 levels"):
+        d = load_csv(path)
+    assert d.variable("city") == Variable("city", "discrete", 25)
+    assert d.is_continuous("x")
 
 
 def test_sorted_column_bookkeeping():

@@ -43,6 +43,40 @@ def test_log_binom_and_multinomial():
         log_multinomial(4, [2, 1])
 
 
+def test_log_gamma_table_matches_scipy_gammaln_bit_for_bit():
+    gammaln = pytest.importorskip("scipy.special").gammaln
+    k = np.arange(1, 300_001)
+    assert np.array_equal(scoring.log_gamma_table(300_000)[k], gammaln(k))
+
+
+def test_log_gamma_table_is_close_to_math_lgamma():
+    k = np.arange(1, 300_001)
+    table = scoring.log_gamma_table(300_000)[k]
+    ref = np.array([math.lgamma(i) for i in k])
+    assert table[:2].tolist() == [0.0, 0.0]  # ln Γ(1) = ln Γ(2) = 0
+    assert np.all(np.abs(table[2:] - ref[2:]) <= 1e-13 * ref[2:])
+
+
+def test_klogk_table_is_k_log_k():
+    table = scoring.klogk_table(300_000)
+    assert table[0] == 0.0
+    assert table[1:300_001].tolist() == [k * math.log(k) for k in range(1, 300_001)]
+
+
+@pytest.mark.parametrize("entries", [scoring._log_gamma_entries,
+                                     scoring._klogk_entries])
+def test_grown_table_keeps_its_entries(entries):
+    table = scoring._CountTable(entries)
+    small = table(20).copy()
+    assert len(small) == 21
+    assert len(table(21)) == 42  # doubles
+    grown = table(5000)
+    assert np.array_equal(grown[:21], small)
+    assert np.array_equal(grown, entries(0, len(grown)))  # as if built at once
+    with pytest.raises(ValueError):
+        grown[3] = 0.0
+
+
 def test_neg_log1m_exp():
     assert neg_log1m_exp(1.0) == pytest.approx(-math.log(1 - math.exp(-1.0)))
     assert neg_log1m_exp(1e-12) > 20  # stable, not -log(0)
