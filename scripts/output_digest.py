@@ -1,6 +1,6 @@
-"""Print three sha256 digests, over the solvers' outputs, over K2's and over
-the reference evaluators', to show that a change leaves every output
-bit-identical.
+"""Print four sha256 digests, over the solvers' outputs, over K2's, over the
+reference evaluators' and over the evaluation protocols', to show that a
+change leaves every output bit-identical.
 
     python3 scripts/output_digest.py
 
@@ -19,7 +19,13 @@ restarts on the equal-width k=3 images of Wine and Iris, seeds 0-4;
 ``mdl_interval_term`` on every boundary interval, and ``mdl_objective`` and
 ``objective`` of ``random_policy``, on ``random_instance`` seeds 0-999; and
 ``family_score`` of every family with up to two parents on
-``random_discrete`` seeds 0-299.  It imports the package from
+``random_discrete`` seeds 0-299.  The evaluation digest covers
+fixed-structure ``cross_validate`` with bayes, mdl and uniform (5 folds,
+seeds 0-2) on Wine and Iris, each over the structure of a 50-restart
+``k2_multi_restart`` on its equal-width k=3 image, and the fold accuracies,
+fold log-likelihoods and policy edges of ``naive_bayes_protocol`` on Iris
+(class ``species``, 5 folds, seeds 0-2, all three methods).  It imports the
+package from
 ``src/`` and the generators from ``tests/`` of the checkout it sits in.  The
 n=2000 MDL solve takes most of its time, several seconds of CPU.
 """
@@ -38,6 +44,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 from conftest import (random_discrete, random_instance, random_mixed,  # noqa: E402
                       random_policy)
 from dvbn.counts import build_context  # noqa: E402
+from dvbn.evaluation import cross_validate, naive_bayes_protocol  # noqa: E402
 from dvbn.dataset import load_csv, load_schema, sorted_column, sorted_view  # noqa: E402
 from dvbn.discretizer import bayes_dp, mdl_dp, mdl_objective  # noqa: E402
 from dvbn.multivar import apply_policies, discretize_all  # noqa: E402
@@ -84,9 +91,13 @@ def solver_digest() -> str:
     return digest.hexdigest()
 
 
-def equal_width_image(name: str, k: int = 3):
+def load_bundled(name: str):
     path = os.path.join(ROOT, "data", name)
-    d = load_csv(path + ".csv", load_schema(path + ".schema.json"))
+    return load_csv(path + ".csv", load_schema(path + ".schema.json"))
+
+
+def equal_width_image(name: str, k: int = 3):
+    d = load_bundled(name)
     return apply_policies(d, {x: equal_width(sorted_column(d.columns[x]), k)
                               for x in d.continuous_names()})
 
@@ -144,10 +155,36 @@ def reference_digest() -> str:
     return digest.hexdigest()
 
 
+def evaluation_outputs():
+    methods = ("bayes", "mdl", "uniform")
+    for name in ("wine", "iris"):
+        d = load_bundled(name)
+        g = k2_multi_restart(equal_width_image(name), 50, 0)[0]
+        for seed in range(3):
+            for method in methods:
+                rep = cross_validate(d, method, structure=g, folds=5, seed=seed)
+                yield name, seed, method, rep.folds
+    d = load_bundled("iris")
+    for seed in range(3):
+        res = naive_bayes_protocol(d, "species", folds=5, seed=seed, methods=methods)
+        for method, r in res.items():
+            yield (seed, method, r["fold_accuracies"], r["fold_logliks"],
+                   sorted((v, p.edges) for v, p in r["policies"].items()))
+
+
+def evaluation_digest() -> str:
+    warnings.filterwarnings("ignore", "discretization did not converge")
+    digest = hashlib.sha256()
+    for out in evaluation_outputs():
+        digest.update(repr(out).encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     print("solvers", solver_digest())
     print("k2", k2_digest())
     print("reference", reference_digest())
+    print("evaluation", evaluation_digest())
 
 
 if __name__ == "__main__":

@@ -159,6 +159,8 @@ def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
                           "(joint learning has no uniform method)")
     d = _load_dataset(data, schema)
     if nb_class is not None:
+        if nb_class not in d.names:
+            raise ConfigError(f"--naive-bayes: no column named {nb_class!r} in the data")
         res = naive_bayes_protocol(d, nb_class, folds=folds, seed=seed,
                                    methods=methods, max_cycles=max_cycles,
                                    uniform_k=k)

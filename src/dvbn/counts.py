@@ -1,14 +1,20 @@
 """Sufficient statistics for the discretization objectives.
 
-The neighbor context flattens a target variable's Markov blanket into
-per-row integer codes, aligned with the target's sorted sample order.  Count
-tables over any contiguous interval of sorted rows are then cheap bincounts,
-and interval sweeps can extend counts one row at a time.
+The neighbor context flattens a target variable's Markov blanket into a list
+of uniform blocks of per-row integer codes, aligned with the target's sorted
+sample order.  Each block is one factor of the objectives: a value counted
+under a condition.  Block 0 is the joint parent configuration under a single
+condition; each later block is one child given its joint spouse
+configuration.  Count tables over any contiguous interval of sorted rows are
+then cheap bincounts, and interval sweeps can extend counts one row at a
+time.  Every cardinality, the prior's L included, comes from the discretized
+data, not from the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,24 +23,22 @@ from .errors import ValidationError
 from .graph import Dag
 
 
-@dataclass(frozen=True)
-class ChildGroup:
-    """Per-child flattened codes: child value and joint spouse instantiation."""
+class Block(NamedTuple):
+    """One factor of the blanket: a value code given a condition code, both
+    0-based and in sorted-row order."""
 
-    j_child: int
-    j_spouse: int
-    child_codes: np.ndarray   # 0-based, sorted-row order
-    spouse_codes: np.ndarray  # 0-based joint spouse codes
-    pair_codes: np.ndarray    # 0-based joint (spouses, child), child most significant
+    value: np.ndarray   # the factor's value
+    j: int              # number of values
+    cond: np.ndarray    # the condition it is counted under
+    j_cond: int         # number of conditions
+    cell: np.ndarray    # joint (condition, value), value most significant
 
 
 @dataclass(frozen=True)
 class NeighborContext:
     n: int
-    j_parent: int
-    parent_codes: np.ndarray  # 0-based joint parent codes, sorted-row order
-    children: list[ChildGroup]
-    L: int
+    blocks: list[Block]  # x's parents under one condition, then each child
+    L: int               # largest cardinality in the blanket (2 if empty)
 
 
 def joint_codes(columns: list[np.ndarray], cards: list[int], n: int) -> tuple[np.ndarray, int]:
@@ -68,47 +72,35 @@ def _checked_column(d_star: DiscreteDataset, name: str, perm: np.ndarray) -> np.
 def build_context(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn) -> NeighborContext:
     """Flatten x's Markov blanket into sorted-row codes.
 
-    All variables other than ``x`` must be discrete in ``d_star`` and its rows
-    must align with ``col.permutation``.
+    ``g`` gives only the blanket's shape; every cardinality, L included, is
+    read from ``d_star``.  All variables other than ``x`` must be discrete in
+    ``d_star`` and its rows must align with ``col.permutation``.
     """
     parents, children, spouses = g.neighbors_for_discretization(x)
     perm = col.permutation
     n = len(perm)
     cards = d_star.cardinalities
     parents = sorted(parents)
-    parent_codes, j_parent = joint_codes(
+    value, j = joint_codes(
         [_checked_column(d_star, p, perm) for p in parents], [cards[p] for p in parents], n)
-    groups = []
+    blocks = [Block(value, j, np.zeros(n, dtype=np.int64), 1, value)]
     for child, spouse_set in zip(children, spouses):
         ccol = _checked_column(d_star, child, perm)
         names = sorted(spouse_set)
         scols = [_checked_column(d_star, s, perm) for s in names]
         scards = [cards[s] for s in names]
-        spouse_codes, j_spouse = joint_codes(scols, scards, n)
-        pair_codes, _ = joint_codes(scols + [ccol], scards + [cards[child]], n)
-        groups.append(ChildGroup(cards[child], j_spouse, ccol - 1,
-                                 spouse_codes, pair_codes))
-    L = g.markov_blanket_max_cardinality(x)
-    return NeighborContext(n=n, j_parent=j_parent,
-                           parent_codes=parent_codes, children=groups, L=L)
+        cond, j_cond = joint_codes(scols, scards, n)
+        cell, _ = joint_codes(scols + [ccol], scards + [cards[child]], n)
+        blocks.append(Block(ccol - 1, cards[child], cond, j_cond, cell))
+    blanket = set(parents).union(children, *spouses)
+    return NeighborContext(n, blocks, max((cards[b] for b in blanket), default=2))
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Counts over one interval of sorted rows."""
-
-    parent_counts: np.ndarray                      # (J_P,)
-    child_tables: list[np.ndarray]                 # (J_C, J_S) per child
-
-
-def interval_counts(ctx: NeighborContext, a: int, b: int) -> CountTable:
-    """Counts over sorted rows ``a..b`` (1-based, inclusive)."""
+def interval_counts(ctx: NeighborContext, a: int, b: int) -> list[np.ndarray]:
+    """Per block, the ``(j, j_cond)`` counts over sorted rows ``a..b``
+    (1-based, inclusive)."""
     if not (1 <= a <= b <= ctx.n):
         raise ValidationError(f"invalid interval [{a},{b}] for n={ctx.n}")
     sl = slice(a - 1, b)
-    parent_counts = np.bincount(ctx.parent_codes[sl], minlength=ctx.j_parent)
-    tables = []
-    for grp in ctx.children:
-        flat = np.bincount(grp.pair_codes[sl], minlength=grp.j_child * grp.j_spouse)
-        tables.append(flat.reshape(grp.j_child, grp.j_spouse))
-    return CountTable(parent_counts, tables)
+    return [np.bincount(cell[sl], minlength=j * j_cond).reshape(j, j_cond)
+            for _, j, _, j_cond, cell in ctx.blocks]

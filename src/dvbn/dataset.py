@@ -201,6 +201,9 @@ def load_csv(path: str, schema: list[dict] | None = None) -> MixedDataset:
     for name in names:
         if name not in header:
             raise DataError(f"{path}: schema column {name!r} not found in header")
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} appears "
+                            f"{header.count(name)} times in the header")
     kinds = {c["name"]: c["kind"] for c in schema}
     col_idx = {name: header.index(name) for name in names}
 

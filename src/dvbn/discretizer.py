@@ -99,8 +99,8 @@ def _binary_entropy(p: float) -> float:
 def _param_counts(ctx: NeighborContext) -> tuple[int, int]:
     """The exact integers ``(a, b)`` such that a policy with k intervals has
     ``a·k − b`` free parameters in ``x``'s family and its children's."""
-    a = ctx.j_parent + sum(grp.j_spouse * (grp.j_child - 1) for grp in ctx.children)
-    return a, ctx.j_parent
+    q = ctx.blocks[0].j  # joint parent configurations
+    return q + sum(blk.j_cond * (blk.j - 1) for blk in ctx.blocks[1:]), q
 
 
 def _penalty(k: int, m: int, n: int, a: int, b: int) -> float:

@@ -30,6 +30,12 @@ class TrainedModel:
     beta: dict[str, np.ndarray]        # (q_i, r_i) observed training counts
     cardinalities: dict[str, int]
 
+    def log_table(self, x: str) -> np.ndarray:
+        """``(q, r)`` smoothed log CPT of ``x``: ln((1+β)/(r+β₀)), where
+        α = 1 and β₀ sums β over x's values."""
+        b = self.beta[x]
+        return np.log(1.0 + b) - np.log(self.cardinalities[x] + b.sum(axis=1))[:, None]
+
 
 def fit_parameters(d_star: DiscreteDataset, g: Dag) -> TrainedModel:
     parents, beta, cards = {}, {}, {}
@@ -46,7 +52,7 @@ def loglik_discrete(model: TrainedModel, d_star_test: DiscreteDataset) -> float:
     if d_star_test.n_rows == 0:
         return 0.0
     total = 0.0
-    for x, b in model.beta.items():
+    for x in model.beta:
         r = model.cardinalities[x]
         col = d_star_test.columns[x]
         if np.any(col < 1) or np.any(col > r):
@@ -54,10 +60,7 @@ def loglik_discrete(model: TrainedModel, d_star_test: DiscreteDataset) -> float:
         pa = model.parents[x]
         codes, _ = joint_codes([d_star_test.columns[p] for p in pa],
                                [model.cardinalities[p] for p in pa], d_star_test.n_rows)
-        beta0 = b.sum(axis=1)
-        # alpha = 1: numerator alpha + beta, denominator alpha0 + beta0
-        logp = np.log(1.0 + b) - np.log(r + beta0)[:, None]
-        total += float(logp[codes, col - 1].sum())
+        total += float(model.log_table(x)[codes, col - 1].sum())
     return total
 
 
@@ -180,16 +183,11 @@ def naive_bayes_structure(d: MixedDataset, class_var: str) -> Dag:
 
 def _nb_predict(model: TrainedModel, d_star_test: DiscreteDataset,
                 class_var: str, features: list[str]) -> np.ndarray:
-    r_c = model.cardinalities[class_var]
-    n = d_star_test.n_rows
-    beta_c = model.beta[class_var][0]  # class is parentless: shape (1, r_c)
-    log_post = np.tile(np.log(1.0 + beta_c) - np.log(r_c + beta_c.sum()), (n, 1))
+    # the class is parentless: its table is one row, the class prior
+    log_post = np.tile(model.log_table(class_var)[0], (d_star_test.n_rows, 1))
     for feat in features:
-        b = model.beta[feat]           # (r_c, r_feat)
-        r_f = model.cardinalities[feat]
-        logp = np.log(1.0 + b) - np.log(r_f + b.sum(axis=1))[:, None]
         vals = d_star_test.columns[feat] - 1
-        log_post += logp[:, vals].T    # (n, r_c)
+        log_post += model.log_table(feat)[:, vals].T  # (n, r_c)
     return np.argmax(log_post, axis=1) + 1
 
 

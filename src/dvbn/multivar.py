@@ -72,11 +72,11 @@ def discretize_all(d: MixedDataset, g: Dag, *,
     cols = {x: sorted_view(d, x) for x in cont_vars}
     policies = {x: equal_width(cols[x], k0) for x in cont_vars}
     d_star = apply_policies(d, policies)
-    g_work = graph_with_cardinalities(g, d, policies)
 
-    # A solve reads only the variable's blanket (columns, cardinalities, L),
-    # so a variable whose blanket is unchanged since its last solve would get
-    # its current policy back: only stale variables are re-solved.
+    # A solve reads only the variable's blanket in d_star (columns,
+    # cardinalities, L), so a variable whose blanket is unchanged since its
+    # last solve would get its current policy back: only stale variables are
+    # re-solved.  The graph gives only the blanket's shape.
     blankets = {y: g.markov_blanket(y) for y in cont_vars}
     stale = set(cont_vars)
     pass_count = 0
@@ -88,13 +88,12 @@ def discretize_all(d: MixedDataset, g: Dag, *,
             if x not in stale:
                 continue
             stale.discard(x)
-            pol = discretize_one(d_star, g_work, x, cols[x], method=method)
+            pol = discretize_one(d_star, g, x, cols[x], method=method)
             if pol.edges != policies[x].edges:
                 changed = True
                 stale.update(y for y in cont_vars if x in blankets[y])
             policies[x] = pol
             d_star = d_star.replace_column(x, pol.apply_array(d.columns[x]), pol.k)
-            g_work = g_work.with_cardinality(x, pol.k)
         if not changed:
             converged = True
             break

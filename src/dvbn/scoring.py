@@ -165,16 +165,12 @@ def prior_terms(col: SortedColumn, lam, L: int) -> float:
 
 def h(ctx: NeighborContext, u: int, v: int) -> float:
     """Per-interval objective kernel over sorted rows ``u..v`` (direct recount)."""
-    table = interval_counts(ctx, u, v)
-    gamma = v - u + 1
-    val = log_binom(gamma + ctx.j_parent - 1, ctx.j_parent - 1)
-    val += log_multinomial(gamma, table.parent_counts)
-    for j, grp in enumerate(ctx.children):
-        pair = table.child_tables[j]
-        for ell in range(grp.j_spouse):
-            n_ell = int(pair[:, ell].sum())
-            val += log_binom(n_ell + grp.j_child - 1, grp.j_child - 1)
-            val += log_multinomial(n_ell, pair[:, ell])
+    val = 0.0
+    for blk, table in zip(ctx.blocks, interval_counts(ctx, u, v)):
+        for counts in table.T:
+            n_cond = int(counts.sum())
+            val += log_binom(n_cond + blk.j - 1, blk.j - 1)
+            val += log_multinomial(n_cond, counts)
     return val
 
 
@@ -231,11 +227,12 @@ def check_dense_budget(m: int, elements: int, what: str) -> None:
 
 def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.ndarray:
     """Per-row terms summed over each boundary interval, layout as in
-    :func:`h_matrix`.  The blocks are the joint parent configuration (under a
-    single condition), then each child given its spouses.  For a block of
-    ``J`` values, ``block_term(value, J)`` gives ``term(c_cell, c_cond, a)``:
-    the terms of rows ``a+1..n`` from the counts of each row's (value,
-    condition) cell and condition among the interval's earlier rows.
+    :func:`h_matrix`, over the blocks of ``ctx`` (see :mod:`dvbn.counts`):
+    the joint parent configuration under a single condition, then each child
+    given its spouses.  For a block of ``j`` values, ``block_term(value, j)``
+    gives ``term(c_cell, c_cond, a)``: the terms of rows ``a+1..n`` from the
+    counts of each row's (value, condition) cell and condition among the
+    interval's earlier rows.  Blocks of one value contribute nothing.
 
     Split boundaries are taken in row blocks of about
     :data:`BLOCK_ELEMENTS` terms.  A row block starting at boundary ``u1``
@@ -247,10 +244,7 @@ def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.nd
     hm = np.zeros((m, m))
     a = np.concatenate(([0], s[:-1]))  # a[u]: rows before boundary u's interval
     step = np.searchsorted(a, np.arange(n), side="right")
-    blocks = [(ctx.parent_codes, ctx.j_parent, ctx.parent_codes, None, 1)]
-    blocks += [(grp.child_codes, grp.j_child, grp.pair_codes, grp.spouse_codes,
-                grp.j_spouse) for grp in ctx.children]
-    for value, j, cell, cond, j_cond in blocks:
+    for value, j, cond, j_cond, cell in ctx.blocks:
         if j <= 1:
             continue
         term = block_term(value, j)
@@ -313,20 +307,12 @@ def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
 
 def mdl_interval_term(ctx: NeighborContext, a: int, b: int) -> float:
     """Direct (non-incremental) evaluation of one MDL interval contribution."""
-    table = interval_counts(ctx, a, b)
-    gamma = b - a + 1
-    n = ctx.n
     total = 0.0
-    if ctx.j_parent > 1:
-        N = np.bincount(ctx.parent_codes, minlength=ctx.j_parent)
-        c = table.parent_counts
-        total += float(np.sum(_xlogy(c, c * n / (gamma * np.maximum(N, 1)))))
-    for j, grp in enumerate(ctx.children):
-        if grp.j_child <= 1:
+    for blk, table in zip(ctx.blocks, interval_counts(ctx, a, b)):
+        if blk.j <= 1:
             continue
-        M = np.bincount(grp.child_codes, minlength=grp.j_child)
-        pair = table.child_tables[j]          # (J_C, J_S)
-        t = pair.sum(axis=0)                  # interval-spouse marginals
+        M = np.bincount(blk.value, minlength=blk.j)
+        t = table.sum(axis=0)                 # interval counts per condition
         denom = np.maximum(np.outer(M, np.maximum(t, 1)), 1)
-        total += float(np.sum(_xlogy(pair, pair * n / denom)))
+        total += float(np.sum(_xlogy(table, table * ctx.n / denom)))
     return -total

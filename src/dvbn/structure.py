@@ -71,9 +71,9 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
     ``g`` is the edgeless starting graph (default: nodes in ``order``).
     Without ``on_accept`` the accepted edges are added to ``g`` once, in
     acceptance order, at the end.  With it, each accepted edge is added at
-    once and ``on_accept(g)`` returns the graph and the discretized data to
-    continue on; the cache, rankings included, is then cleared and the node's
-    family rescored on the new data.
+    once and ``on_accept(g)`` returns the discretized data to continue on;
+    the cache, rankings included, is then cleared and the node's family
+    rescored on the new data.
     """
     if cache is None:
         cache = {}
@@ -94,7 +94,8 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
             if on_accept is None:
                 accepted.append((y, x))
             else:
-                g, d_star = on_accept(g.add_edge(y, x))
+                g = g.add_edge(y, x)
+                d_star = on_accept(g)
                 cache.clear()
                 p_old = family_score(x, pa, d_star, cache)
         before.add(x)
@@ -133,16 +134,18 @@ def learn_dvbn(d: MixedDataset, order: list[str],
         raise ValidationError("order must permute all dataset variables")
     pset = d_star = None
 
-    def rediscretize(g: Dag):
+    def rediscretize(g: Dag) -> DiscreteDataset:
         nonlocal pset, d_star
         pset = discretize_all(d, g, max_cycles=max_cycles, method=method)
         d_star = apply_policies(d, pset.policies)
-        return graph_with_cardinalities(g, d, pset.policies), d_star
+        return d_star
 
-    g, _ = rediscretize(Dag(d.names))
+    g = Dag(d.names)
+    rediscretize(g)
     cache: dict = {}
     g = k2_pass(d_star, order, max_parents=max_parents, cache=cache, g=g,
                 on_accept=rediscretize if d.continuous_names() else None)
+    g = graph_with_cardinalities(g, d, pset.policies)
     return LearnResult(g, pset, network_score(g, d_star, cache), restart_seed)
 
 

@@ -185,10 +185,8 @@ def test_criterion_8a_counts_additivity():
         left = interval_counts(ctx, 1, b)
         right = interval_counts(ctx, b + 1, ctx.n)
         whole = interval_counts(ctx, 1, ctx.n)
-        assert np.array_equal(left.parent_counts + right.parent_counts,
-                              whole.parent_counts)
-        for lt, rt, wt in zip(left.child_tables, right.child_tables,
-                              whole.child_tables):
+        assert len(left) == len(right) == len(whole) == len(ctx.blocks)
+        for lt, rt, wt in zip(left, right, whole):
             assert np.array_equal(lt + rt, wt)
     report(f"criterion 8a: interval counts additive over splits "
            f"({N_CASES} cases)", True)

@@ -152,6 +152,15 @@ def test_evaluate_naive_bayes(workdir, data_dir):
     assert doc["bayes"]["accuracy"] > 0.85
 
 
+def test_naive_bayes_missing_class_is_config_error(workdir, data_dir):
+    r = run(["evaluate", "--data", os.path.join(data_dir, "iris.csv"),
+             "--schema", os.path.join(data_dir, "iris.schema.json"),
+             "--method", "bayes", "--naive-bayes", "nope",
+             "--seed", "0", "--folds", "5", "--out", str(workdir / "nb_x")])
+    assert r.exit_code == 2, r.output
+    assert "config error" in r.output and "'nope'" in r.output
+
+
 def _discretize_args(workdir, data, *extra):
     return ["discretize", "--data", str(data), "--schema", str(workdir / "schema.json"),
             "--structure", str(workdir / "g.json"), "--seed", "0",

@@ -25,12 +25,14 @@ def test_context_codes_follow_sorted_order():
     ctx = build_context(d_star, g, "X", col)
     # sorted x is rows 1, 3, 2, 0 of the original data
     assert list(col.permutation) == [1, 3, 2, 0]
-    assert ctx.j_parent == 2
-    assert list(ctx.parent_codes) == [1, 1, 0, 0]
-    grp = ctx.children[0]
-    assert list(grp.child_codes) == [0, 0, 1, 1]
-    assert list(grp.spouse_codes) == [0, 1, 1, 0]
-    assert list(grp.pair_codes) == [0, 1, 3, 2]
+    parents, grp = ctx.blocks
+    assert parents.j == 2
+    assert list(parents.value) == [1, 1, 0, 0]
+    assert list(parents.cond) == [0, 0, 0, 0] and parents.j_cond == 1
+    assert list(parents.cell) == list(parents.value)
+    assert list(grp.value) == [0, 0, 1, 1]
+    assert list(grp.cond) == [0, 1, 1, 0]
+    assert list(grp.cell) == [0, 1, 3, 2]
     assert ctx.L == 2
 
 
@@ -38,12 +40,12 @@ def test_interval_counts_match_manual():
     d_star, g, col = small_instance()
     ctx = build_context(d_star, g, "X", col)
     t = interval_counts(ctx, 1, 2)
-    assert list(t.parent_counts) == [0, 2]
-    assert t.parent_counts.sum() == 2
-    assert t.child_tables[0].tolist() == [[1, 1], [0, 0]]
+    assert t[0].tolist() == [[0], [2]]
+    assert t[0].sum() == 2
+    assert t[1].tolist() == [[1, 1], [0, 0]]
     full = interval_counts(ctx, 1, 4)
-    assert full.parent_counts.sum() == 4
-    assert list(full.child_tables[0].sum(axis=0)) == [2, 2]
+    assert full[0].sum() == 4
+    assert list(full[1].sum(axis=0)) == [2, 2]
 
 
 def test_interval_counts_bad_range():
@@ -72,8 +74,6 @@ def test_counts_additive_over_split():
         left = interval_counts(ctx, 1, b)
         right = interval_counts(ctx, b + 1, n)
         whole = interval_counts(ctx, 1, n)
-        assert np.array_equal(left.parent_counts + right.parent_counts,
-                              whole.parent_counts)
-        for lt, rt, wt in zip(left.child_tables, right.child_tables,
-                              whole.child_tables):
+        assert len(left) == len(right) == len(whole) == len(ctx.blocks)
+        for lt, rt, wt in zip(left, right, whole):
             assert np.array_equal(lt + rt, wt)

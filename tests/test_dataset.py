@@ -87,6 +87,21 @@ def test_bad_in_memory_schema_is_data_error(tmp_path, schema, match):
         load_csv(path, schema)
 
 
+@pytest.mark.parametrize("schema", [
+    None, [{"name": "a", "kind": "discrete"}, {"name": "b", "kind": "continuous"}],
+], ids=["inferred", "given"])
+def test_duplicate_header_column_is_data_error(tmp_path, schema):
+    path = _write(tmp_path, "a,a,b\n1,2,0.5\n2,1,1.5\n")
+    with pytest.raises(DataError, match="column 'a' appears 2 times in the header"):
+        load_csv(path, schema)
+
+
+def test_unused_duplicate_header_column_is_allowed(tmp_path):
+    path = _write(tmp_path, "a,x,x\n1,2,0.5\n2,1,1.5\n")
+    d = load_csv(path, [{"name": "a", "kind": "discrete"}])
+    assert d.names == ["a"] and list(d.columns["a"]) == [1, 2]
+
+
 def test_infer_schema():
     header = ["a", "b", "c"]
     rows = [["1", "1.5", "cat"], ["2", "2.5", "dog"], ["1", "0.1", "cat"]]

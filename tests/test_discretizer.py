@@ -124,7 +124,7 @@ def test_mdl_penalty_k1():
     import math
     d_star, g, col = random_instance(1)
     ctx = build_context(d_star, g, "X", col)
-    params = sum(grp.j_spouse * (grp.j_child - 1) for grp in ctx.children)
+    params = sum(blk.j_cond * (blk.j - 1) for blk in ctx.blocks[1:])
     expected = 0.5 * math.log(ctx.n) * params  # + ln 1 = 0
     assert mdl_penalty(1, col.m, ctx) == pytest.approx(expected)
 
@@ -136,6 +136,24 @@ def test_dispatcher_rejects_unknown_method():
     # also when the column has one value and there is nothing to solve
     with pytest.raises(ValidationError):
         discretize_one(d_star, g, "X", sorted_column(np.ones(3)), method="nope")
+
+
+def test_prior_L_comes_from_the_data_not_the_graph():
+    # a solve reads every cardinality from d_star, so a graph with the same
+    # nodes and edges but no cardinalities gives the same policies
+    checked = 0
+    for seed in range(200):
+        d_star, g, col = random_instance(seed)
+        L = max(d_star.cardinalities[b] for b in g.markov_blanket("X"))
+        if L <= 2 or col.m == 1:
+            continue
+        checked += 1
+        bare = Dag(g.nodes, g.edges)
+        assert build_context(d_star, bare, "X", col).L == L
+        for method in ("bayes", "mdl"):
+            want = discretize_one(d_star, g, "X", col, method=method)
+            assert discretize_one(d_star, bare, "X", col, method=method) == want, seed
+    assert checked > 50
 
 
 def test_returned_objective_is_optimal_substructure():

@@ -176,10 +176,7 @@ def _kernel_matrix_reference(ctx, col, block_term):
     boundary u over the rows of its own intervals."""
     m, n, s = col.m, ctx.n, col.last_occurrence
     hm = np.zeros((m, m))
-    blocks = [(ctx.parent_codes, ctx.j_parent, ctx.parent_codes, None, 1)]
-    blocks += [(grp.child_codes, grp.j_child, grp.pair_codes, grp.spouse_codes,
-                grp.j_spouse) for grp in ctx.children]
-    for value, j, cell, cond, j_cond in blocks:
+    for value, j, cond, j_cond, cell in ctx.blocks:
         if j <= 1:
             continue
         term = block_term(value, j)

@@ -137,7 +137,7 @@ def _k2_pass_reference(d_star, order, max_parents=None, cache=None, g=None,
             if on_accept is None:
                 p_old = best_score
             else:
-                g, d_star = on_accept(g)
+                d_star = on_accept(g)
                 if cache is not None:
                     cache.clear()
                 p_old = family_score(x, pa, d_star, cache)
