@@ -1,6 +1,6 @@
-"""Print four sha256 digests, over the solvers' outputs, over K2's, over the
-reference evaluators' and over the evaluation protocols', to show that a
-change leaves every output bit-identical.
+"""Print five sha256 digests, over the solvers' outputs, over K2's, over the
+reference evaluators', over the evaluation protocols' and over joint
+learning's, to show that a change leaves every output bit-identical.
 
     python3 scripts/output_digest.py
 
@@ -24,9 +24,12 @@ fixed-structure ``cross_validate`` with bayes, mdl and uniform (5 folds,
 seeds 0-2) on Wine and Iris, each over the structure of a 50-restart
 ``k2_multi_restart`` on its equal-width k=3 image, and the fold accuracies,
 fold log-likelihoods and policy edges of ``naive_bayes_protocol`` on Iris
-(class ``species``, 5 folds, seeds 0-2, all three methods).  It imports the
-package from
-``src/`` and the generators from ``tests/`` of the checkout it sits in.  The
+(class ``species``, 5 folds, seeds 0-2, all three methods).  The joint digest
+covers the JSON of ``multi_restart`` with 2 restarts, seed 0 and
+``max_parents=2`` on Wine and Iris with bayes and mdl, and with 1 restart,
+``max_parents=2`` and bayes on ``tests/planted.py``'s chain at n=500, seeds
+0-4 (data and restart seed alike).  It imports the package from ``src/`` and
+the generators from ``tests/`` of the checkout it sits in.  The
 n=2000 MDL solve takes most of its time, several seconds of CPU.
 """
 
@@ -52,6 +55,7 @@ from dvbn.policy import equal_width  # noqa: E402
 from dvbn.scoring import h_matrix, mdl_h_matrix, mdl_interval_term, objective  # noqa: E402
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,  # noqa: E402
                             multi_restart)
+from planted import planted_chain  # noqa: E402
 from synthetic import discrete_image, generate_synthetic  # noqa: E402
 
 
@@ -180,11 +184,30 @@ def evaluation_digest() -> str:
     return digest.hexdigest()
 
 
+def joint_outputs():
+    for name in ("wine", "iris"):
+        d = load_bundled(name)
+        for method in ("bayes", "mdl"):
+            yield name, method, multi_restart(d, 2, 0, max_parents=2, method=method).to_json()
+    for seed in range(5):
+        yield "planted", seed, multi_restart(planted_chain(500, seed), 1, seed,
+                                             max_parents=2).to_json()
+
+
+def joint_digest() -> str:
+    warnings.filterwarnings("ignore", "discretization did not converge")
+    digest = hashlib.sha256()
+    for out in joint_outputs():
+        digest.update(repr(out).encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     print("solvers", solver_digest())
     print("k2", k2_digest())
     print("reference", reference_digest())
     print("evaluation", evaluation_digest())
+    print("joint", joint_digest())
 
 
 if __name__ == "__main__":

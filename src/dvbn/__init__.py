@@ -18,7 +18,7 @@ from .evaluation import (CvReport, TrainedModel, cross_validate, fit_parameters,
                          naive_bayes_protocol, naive_bayes_structure)
 from .graph import Dag
 from .multivar import (PolicySet, apply_policies, discretize_all,
-                       graph_with_cardinalities, initial_interval_count)
+                       initial_interval_count)
 from .policy import (DiscretizationPolicy, equal_width, midpoint_candidates,
                      policy_from_lambda, representations)
 from .scoring import objective
@@ -33,10 +33,10 @@ __all__ = [
     "MixedDataset", "PolicySet", "SortedColumn", "TrainedModel",
     "ValidationError", "Variable", "apply_policies", "cross_validate",
     "discretize_all", "discretize_one", "equal_width", "family_score",
-    "fit_parameters", "fold_indices", "graph_with_cardinalities",
-    "infer_schema", "initial_interval_count", "k2_multi_restart", "k2_pass",
-    "learn_dvbn", "load_csv", "load_schema", "loglik_density",
-    "loglik_discrete", "midpoint_candidates", "multi_restart",
+    "fit_parameters", "fold_indices", "infer_schema",
+    "initial_interval_count", "k2_multi_restart", "k2_pass", "learn_dvbn",
+    "load_csv", "load_schema", "loglik_density", "loglik_discrete",
+    "midpoint_candidates", "multi_restart",
     "naive_bayes_protocol", "naive_bayes_structure", "network_score",
     "objective", "policy_from_lambda", "representations", "sorted_column",
     "sorted_view",

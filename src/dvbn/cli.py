@@ -14,6 +14,7 @@ import os
 import sys
 
 import click
+from click.core import ParameterSource
 
 from .dataset import MixedDataset, load_csv, load_schema
 from .errors import ConfigError, DataError, DvbnError
@@ -154,6 +155,13 @@ def learn(data, schema, method, seed, restarts, max_parents, max_cycles, out):
 def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
              restarts, max_parents, max_cycles, out):
     """Cross-validated normalized log-likelihood per method."""
+    if nb_class is not None:
+        ctx = click.get_current_context()
+        given = [f"--{p.replace('_', '-')}" for p in ("structure", "restarts", "max_parents")
+                 if ctx.get_parameter_source(p) is not ParameterSource.DEFAULT]
+        if given:
+            raise ConfigError(f"--naive-bayes uses the naive-Bayes structure; "
+                              f"it does not take {', '.join(given)}")
     if nb_class is None and structure is None and "uniform" in methods:
         raise ConfigError("--method uniform needs --structure "
                           "(joint learning has no uniform method)")

@@ -1,9 +1,11 @@
-"""Directed acyclic graph over named variables with cardinalities.
+"""Directed acyclic graph over named variables.
 
 The graph answers the structural queries discretization needs: parents,
-children, spouses per child, the largest cardinality in a node's Markov
-blanket, and reverse-topological orderings.  Mutating operations return a new
-value; instances are safe to share read-only.
+children, spouses per child, and reverse-topological orderings.  A node may
+carry a cardinality, which only the JSON form and
+:meth:`Dag.markov_blanket_max_cardinality` read; every solve takes its
+cardinalities from the data.  Mutating operations return a new value;
+instances are safe to share read-only.
 """
 
 from __future__ import annotations
@@ -67,13 +69,6 @@ class Dag:
             g._insert(parent, child)
         return g
 
-    def with_cardinality(self, name: str, cardinality: int) -> "Dag":
-        if name not in self._cards:
-            raise ValidationError(f"no node named {name!r}")
-        g = self.copy()
-        g._cards[name] = cardinality
-        return g
-
     def copy(self) -> "Dag":
         g = Dag.__new__(Dag)
         g._cards = dict(self._cards)
@@ -91,9 +86,6 @@ class Dag:
     @property
     def edges(self) -> list[tuple[str, str]]:
         return list(self._edges)
-
-    def cardinality(self, name: str) -> int | None:
-        return self._cards[name]
 
     def parents(self, x: str) -> list[str]:
         return list(self._parents[x])

@@ -45,16 +45,6 @@ def apply_policies(d: MixedDataset, policies: dict[str, DiscretizationPolicy]) -
     return DiscreteDataset(columns, cards)
 
 
-def graph_with_cardinalities(g: Dag, d: MixedDataset,
-                             policies: dict[str, DiscretizationPolicy]) -> Dag:
-    out = g
-    for v in d.variables:
-        if v.name in out.nodes:
-            card = v.cardinality if v.kind == "discrete" else policies[v.name].k
-            out = out.with_cardinality(v.name, card)
-    return out
-
-
 def discretize_all(d: MixedDataset, g: Dag, *,
                    max_cycles: int = DEFAULT_MAX_CYCLES,
                    method: str = "bayes") -> PolicySet:

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import family_counts
-from .dataset import DiscreteDataset, MixedDataset
+from .dataset import DiscreteDataset, MixedDataset, sorted_view
 from .errors import ValidationError
 from .graph import Dag
 from .multivar import (PolicySet, apply_policies, discretize_all,
-                       graph_with_cardinalities)
+                       initial_interval_count)
+from .policy import equal_width
 from .scoring import log_gamma_table
 
 
@@ -57,7 +58,7 @@ def _ranking(x: str, parents: tuple, d_star: DiscreteDataset, cache: dict) -> li
 
 def k2_pass(d_star: DiscreteDataset, order: list[str],
             max_parents: int | None = None, cache: dict | None = None,
-            g: Dag | None = None, on_accept=None) -> Dag:
+            on_accept=None) -> Dag:
     """Greedy K2 over a fixed ordering: each node takes the best-scoring
     predecessor repeatedly while the family score strictly improves.
 
@@ -68,17 +69,16 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
     ties to the larger name.  Rankings do not depend on the order, so the
     restarts of :func:`k2_multi_restart` share them.
 
-    ``g`` is the edgeless starting graph (default: nodes in ``order``).
-    Without ``on_accept`` the accepted edges are added to ``g`` once, in
-    acceptance order, at the end.  With it, each accepted edge is added at
-    once and ``on_accept(g)`` returns the discretized data to continue on;
-    the cache, rankings included, is then cleared and the node's family
-    rescored on the new data.
+    The result has the nodes of ``order`` with ``d_star``'s cardinalities and
+    the accepted edges in acceptance order.  With ``on_accept``, each accepted
+    edge is reported at once: ``on_accept(g)`` gets the graph of the edges
+    accepted so far and returns the discretized data to continue on; the
+    cache, rankings included, is then cleared and the node's family rescored
+    on the new data.
     """
     if cache is None:
         cache = {}
-    if g is None:
-        g = Dag({x: d_star.cardinalities[x] for x in order})
+    g = Dag({x: d_star.cardinalities[x] for x in order})
     accepted: list[tuple[str, str]] = []
     before: set[str] = set()
     for x in order:
@@ -91,11 +91,9 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
                 break
             p_old, y = best
             pa = tuple(sorted(pa + (y,)))
-            if on_accept is None:
-                accepted.append((y, x))
-            else:
-                g = g.add_edge(y, x)
-                d_star = on_accept(g)
+            accepted.append((y, x))
+            if on_accept is not None:
+                d_star = on_accept(g.add_edges(accepted))
                 cache.clear()
                 p_old = family_score(x, pa, d_star, cache)
         before.add(x)
@@ -124,28 +122,38 @@ class LearnResult:
 def learn_dvbn(d: MixedDataset, order: list[str],
                max_parents: int | None = None, max_cycles: int = 10,
                method: str = "bayes", restart_seed: int = 0) -> LearnResult:
-    """Alternate greedy K2 parent additions with full rediscretization.
+    """Alternate greedy K2 parent additions with rediscretization.
 
-    Every accepted edge triggers a rediscretization of all continuous
-    variables on the current graph, after which the node's current family
-    score is refreshed on the new discretized dataset.
+    K2 starts on the equal-width image of ``d``, with
+    :func:`initial_interval_count` intervals per continuous variable.  Every
+    accepted edge rediscretizes, with :func:`discretize_all` on the current
+    graph, each continuous variable whose Markov blanket is not empty; the
+    node's family score is then refreshed on the new data.  A variable with
+    an empty blanket keeps its equal-width seed: its objective has only the
+    prior, which would collapse it to one interval, and a one-interval
+    variable can never raise a family score.
     """
     if sorted(order) != sorted(d.names):
         raise ValidationError("order must permute all dataset variables")
-    pset = d_star = None
+    k0 = initial_interval_count(d)
+    start = {x: equal_width(sorted_view(d, x), k0) for x in d.continuous_names()}
+    pset = PolicySet(start, 0, True)
+    d_star = apply_policies(d, start)
 
     def rediscretize(g: Dag) -> DiscreteDataset:
         nonlocal pset, d_star
-        pset = discretize_all(d, g, max_cycles=max_cycles, method=method)
+        linked = [v for v in d.variables
+                  if v.kind == "discrete" or g.markov_blanket(v.name)]
+        d_linked = MixedDataset(linked, {v.name: d.columns[v.name] for v in linked})
+        fit = discretize_all(d_linked, g, max_cycles=max_cycles, method=method)
+        pset = PolicySet({**start, **fit.policies}, fit.pass_count, fit.converged)
         d_star = apply_policies(d, pset.policies)
         return d_star
 
-    g = Dag(d.names)
-    rediscretize(g)
     cache: dict = {}
-    g = k2_pass(d_star, order, max_parents=max_parents, cache=cache, g=g,
-                on_accept=rediscretize if d.continuous_names() else None)
-    g = graph_with_cardinalities(g, d, pset.policies)
+    g = k2_pass(d_star, order, max_parents=max_parents, cache=cache,
+                on_accept=rediscretize if start else None)
+    g = Dag(dict(d_star.cardinalities), g.edges)
     return LearnResult(g, pset, network_score(g, d_star, cache), restart_seed)
 
 
@@ -161,23 +169,18 @@ def multi_restart(d: MixedDataset, n_restarts: int, seed: int,
                   method: str = "bayes") -> LearnResult:
     """Best of ``n_restarts`` random variable orderings; ties keep the
     earliest restart."""
-    best: LearnResult | None = None
-    for r, order in enumerate(_random_orders(d.names, n_restarts, seed)):
-        res = learn_dvbn(d, order, max_parents=max_parents,
-                         max_cycles=max_cycles, method=method, restart_seed=r)
-        if best is None or res.score > best.score:
-            best = res
-    return best
+    return max((learn_dvbn(d, order, max_parents=max_parents,
+                           max_cycles=max_cycles, method=method, restart_seed=r)
+                for r, order in enumerate(_random_orders(d.names, n_restarts, seed))),
+               key=lambda res: res.score)
 
 
 def k2_multi_restart(d_star: DiscreteDataset, n_restarts: int, seed: int,
                      max_parents: int | None = None) -> tuple[Dag, float, int]:
-    """Plain K2 restarts on already-discrete data with a shared score cache."""
+    """Plain K2 restarts on already-discrete data with a shared score cache;
+    the best ``(graph, score, restart)``, ties to the earliest restart."""
     cache: dict = {}
-    best = None
-    for r, order in enumerate(_random_orders(list(d_star.columns), n_restarts, seed)):
-        g = k2_pass(d_star, order, max_parents=max_parents, cache=cache)
-        score = network_score(g, d_star, cache)
-        if best is None or score > best[1]:
-            best = (g, score, r)
-    return best
+    graphs = (k2_pass(d_star, order, max_parents=max_parents, cache=cache)
+              for order in _random_orders(list(d_star.columns), n_restarts, seed))
+    return max(((g, network_score(g, d_star, cache), r) for r, g in enumerate(graphs)),
+               key=lambda t: t[1])

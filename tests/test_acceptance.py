@@ -19,7 +19,7 @@ from dvbn.discretizer import discretize_one, mdl_objective, mdl_penalty
 from dvbn.evaluation import (cross_validate, fit_parameters, loglik_density,
                              loglik_discrete, naive_bayes_protocol)
 from dvbn.graph import Dag
-from dvbn.multivar import apply_policies, discretize_all, graph_with_cardinalities
+from dvbn.multivar import apply_policies, discretize_all
 from dvbn.policy import DiscretizationPolicy, equal_width, policy_from_lambda, representations
 from dvbn.scoring import h, mdl_interval_term, objective, prior_terms
 from dvbn.structure import family_score, k2_multi_restart, k2_pass, network_score
@@ -143,7 +143,7 @@ def test_criterion_6_auto_mpg_under_segmentation():
         msg = ("criterion 6 SKIPPED: data/auto-mpg.csv is not present. The "
                "Auto MPG dataset is not redistributable from this environment; "
                "supply the raw UCI file and convert it with "
-               "dvbn.uci.convert_uci_auto_mpg, then rerun.")
+               "convert_uci_auto_mpg in scripts/make_datasets.py, then rerun.")
         print(msg)
         pytest.skip(msg)
     d = load_csv(path, load_schema(os.path.join(DATA, "auto-mpg.schema.json")))
@@ -197,8 +197,7 @@ def test_criterion_8b_loglik_additivity():
         d, g = random_mixed(seed)
         pols = {v: equal_width(sorted_column(d.columns[v]), 2)
                 for v in d.continuous_names()}
-        model = fit_parameters(apply_policies(d, pols),
-                               graph_with_cardinalities(g, d, pols))
+        model = fit_parameters(apply_policies(d, pols), g)
         idx = np.arange(d.n_rows)
         half = d.n_rows // 2
         t1, t2 = d.subset_rows(idx[:half]), d.subset_rows(idx[half:])
@@ -264,9 +263,8 @@ def test_criterion_8e_discretize_all_idempotence():
             continue
         checked += 1
         d_star = apply_policies(d, pset.policies)
-        g_work = graph_with_cardinalities(g, d, pset.policies)
         for x in order:
-            again = discretize_one(d_star, g_work, x, sorted_view(d, x))
+            again = discretize_one(d_star, g, x, sorted_view(d, x))
             assert again.edges == pset.policies[x].edges
     report(f"criterion 8e: converged multi-variable discretization is a fixed "
            f"point ({checked}/{N_CASES} converged cases)", checked >= N_CASES * 0.9)

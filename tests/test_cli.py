@@ -276,3 +276,19 @@ def test_evaluate_naive_bayes_uniform(workdir, data_dir):
     assert list(doc) == ["uniform"]
     assert len(doc["uniform"]["fold_accuracies"]) == 5
     assert all(len(e) <= 2 for e in doc["uniform"]["edges"].values())
+
+
+@pytest.mark.parametrize("extra", [["--structure", "missing/g.json"],
+                                   ["--restarts", "7"], ["--max-parents", "1"],
+                                   ["--structure", "missing/g.json", "--restarts", "7"]],
+                         ids=["structure", "restarts", "max_parents", "both"])
+def test_naive_bayes_with_structure_flags_is_config_error(workdir, data_dir, extra):
+    out = workdir / "nb_flags"
+    r = run(["evaluate", "--data", os.path.join(data_dir, "iris.csv"),
+             "--schema", os.path.join(data_dir, "iris.schema.json"),
+             "--method", "bayes", "--naive-bayes", "species",
+             "--seed", "0", "--folds", "5", "--out", str(out), *extra])
+    assert r.exit_code == 2, r.output
+    assert "config error" in r.output
+    assert all(flag in r.output for flag in extra if flag.startswith("--"))
+    assert not out.exists()

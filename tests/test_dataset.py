@@ -1,10 +1,22 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
+from conftest import DATA_DIR
 from dvbn.dataset import (MixedDataset, Variable, infer_schema, load_csv,
                           load_schema, sorted_column)
 from dvbn.errors import DataError, ValidationError
-from dvbn.uci import SCHEMAS, convert_uci_auto_mpg, convert_uci_housing
+
+
+def _make_datasets():
+    """``scripts/make_datasets.py``, imported as a module."""
+    path = os.path.join(DATA_DIR, "..", "scripts", "make_datasets.py")
+    spec = importlib.util.spec_from_file_location("make_datasets", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _write(tmp_path, text, name="d.csv"):
@@ -162,17 +174,21 @@ def test_high_cardinality_warning(tmp_path):
 
 
 def test_uci_converters_round_trip(tmp_path):
+    script = _make_datasets()
+    convert_uci_auto_mpg, convert_uci_housing = (script.convert_uci_auto_mpg,
+                                                 script.convert_uci_housing)
     raw = _write(tmp_path, '18.0 8 307.0 130.0 3504. 12.0 70 1\t"chevy malibu"\n\n'
                  '25.0 4 98.00 ? 2046. 19.0 71 1\t"ford pinto"\n', "auto.data")
     out = str(tmp_path / "auto.csv")
     convert_uci_auto_mpg(raw, out)
-    d = load_csv(out, SCHEMAS["auto-mpg"])
+    d = load_csv(out, load_schema(os.path.join(DATA_DIR, "auto-mpg.schema.json")))
     assert d.n_rows == 1 and d.n_dropped == 1  # the '?' horsepower row
     assert d.columns["weight"].tolist() == [3504.0]
     raw = _write(tmp_path, " 0.006 18 2.3 0 0.53 6.5 65.2 4.09 1 296 15.3 396.9 4.98 24\n\n",
                  "housing.data")
     convert_uci_housing(raw, out)
-    assert load_csv(out, SCHEMAS["housing"]).columns["medv"].tolist() == [24.0]
+    housing = load_schema(os.path.join(DATA_DIR, "housing.schema.json"))
+    assert load_csv(out, housing).columns["medv"].tolist() == [24.0]
     bad = _write(tmp_path, "1 2 3\n", "bad.data")
     for convert in (convert_uci_auto_mpg, convert_uci_housing):
         with pytest.raises(DataError, match="field count"):

@@ -8,13 +8,14 @@ import pytest
 from conftest import blanket_instance, random_instance
 from dvbn import discretizer
 from dvbn.counts import build_context
-from dvbn.dataset import DiscreteDataset, SortedColumn, sorted_column
+from dvbn.dataset import DiscreteDataset, SortedColumn, sorted_column, sorted_view
 from dvbn.discretizer import (bayes_dp, discretize_one, mdl_dp, mdl_dp_elements,
                               mdl_objective, mdl_penalty)
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
 from dvbn.policy import DiscretizationPolicy, midpoint_candidates
 from dvbn.scoring import h_matrix, mdl_h_matrix, neg_log1m_exp, objective
+from synthetic import discrete_image, generate_synthetic
 
 
 def _best_subset(col: SortedColumn, evaluate) -> DiscretizationPolicy:
@@ -338,3 +339,18 @@ def test_bayes_dp_tie_prefers_larger_split():
     assert dp.back[4] == 2 and dp.back[2] == 1
     assert dp.S[4] == 3.0 + w
     assert (dp.S, dp.back, dp.W) == _bayes_dp_reference(col, hm, 3)
+
+
+@pytest.mark.parametrize("method,n", [("bayes", 500), ("bayes", 1000), ("mdl", 500)])
+def test_single_variable_cut_recovery(method, n):
+    # two children follow X through its 1/3 and 2/3 quantiles (20% noise):
+    # the solve finds both cuts, each within 2% of the rows of its quantile
+    for seed in range(5):
+        d, g = generate_synthetic(n, seed, n_parents=0, spouses_per_child=0)
+        col = sorted_view(d, "X")
+        pol = discretize_one(discrete_image(d), g, "X", col, method=method)
+        assert pol.k == 3, (seed, pol.edges)
+        planted = np.quantile(d.columns["X"], [1 / 3, 2 / 3])
+        rows = np.abs(np.searchsorted(col.values, pol.edges)
+                      - np.searchsorted(col.values, planted))
+        assert np.all(rows <= 0.02 * n), (seed, rows)

@@ -13,7 +13,7 @@ from dvbn.errors import ValidationError
 from dvbn.evaluation import naive_bayes_structure
 from dvbn.graph import Dag
 from dvbn.multivar import (PolicySet, apply_policies, discretize_all,
-                           graph_with_cardinalities, initial_interval_count)
+                           initial_interval_count)
 from dvbn.policy import DiscretizationPolicy, equal_width
 from dvbn.structure import k2_multi_restart
 
@@ -44,9 +44,8 @@ def test_discretize_all_converges_and_is_idempotent():
     assert pset.converged and pset.pass_count >= 1
     # a converged fixed point: one more single-variable pass changes nothing
     d_star = apply_policies(d, pset.policies)
-    g_work = graph_with_cardinalities(g, d, pset.policies)
     for x in order:
-        again = discretize_one(d_star, g_work, x, sorted_view(d, x))
+        again = discretize_one(d_star, g, x, sorted_view(d, x))
         assert again.edges == pset.policies[x].edges
 
 
@@ -84,19 +83,17 @@ def _full_resolve_reference(d, g, cont_vars, max_cycles=10, method="bayes"):
     cols = {x: sorted_view(d, x) for x in cont_vars}
     policies = {x: equal_width(cols[x], k0) for x in cont_vars}
     d_star = apply_policies(d, policies)
-    g_work = graph_with_cardinalities(g, d, policies)
     pass_count = 0
     converged = False
     while pass_count < max_cycles:
         pass_count += 1
         changed = False
         for x in cont_vars:
-            pol = discretize_one(d_star, g_work, x, cols[x], method=method)
+            pol = discretize_one(d_star, g, x, cols[x], method=method)
             if pol.edges != policies[x].edges:
                 changed = True
             policies[x] = pol
             d_star = d_star.replace_column(x, pol.apply_array(d.columns[x]), pol.k)
-            g_work = g_work.with_cardinality(x, pol.k)
         if not changed:
             converged = True
             break
@@ -155,3 +152,14 @@ def test_naive_bayes_features_are_solved_once(monkeypatch, method):
     pset = discretize_all(d, g, method=method)
     assert sorted(solved) == sorted(cont)
     assert pset.pass_count == 2 and pset.converged
+
+
+@pytest.mark.parametrize("method", ["bayes", "mdl"])
+def test_discretize_all_on_edgeless_graph_gives_one_interval(method):
+    # with an empty blanket the objective has only its penalty, so a fixed
+    # structure collapses every isolated variable to one interval
+    d = load_csv(os.path.join(DATA_DIR, "wine.csv"),
+                 load_schema(os.path.join(DATA_DIR, "wine.schema.json")))
+    pset = discretize_all(d, Dag(d.names), method=method)
+    assert set(pset.policies) == set(d.continuous_names())
+    assert all(p.k == 1 for p in pset.policies.values())

@@ -1,17 +1,20 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from conftest import random_discrete, random_mixed
+from conftest import DATA_DIR, random_discrete, random_mixed
 from dvbn import structure
-from dvbn.dataset import DiscreteDataset, MixedDataset, Variable
+from dvbn.dataset import (DiscreteDataset, MixedDataset, Variable, load_csv,
+                          load_schema)
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
 from dvbn.multivar import PolicySet
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,
                             learn_dvbn, multi_restart, network_score)
+from planted import planted_chain, recalled
 
 
 def tiny_discrete(seed=0, n=40):
@@ -115,12 +118,11 @@ def test_multi_restart_deterministic_and_best():
     assert {"score", "graph", "policies"} <= set(doc)
 
 
-def _k2_pass_reference(d_star, order, max_parents=None, cache=None, g=None,
+def _k2_pass_reference(d_star, order, max_parents=None, cache=None,
                        on_accept=None):
     """The greedy loop before per-family rankings: every step re-scores each
     remaining predecessor and takes the max of (score, name)."""
-    if g is None:
-        g = Dag({x: d_star.cardinalities[x] for x in order})
+    g = Dag({x: d_star.cardinalities[x] for x in order})
     for i, x in enumerate(order):
         pa = []
         p_old = family_score(x, pa, d_star, cache)
@@ -193,3 +195,18 @@ def test_joint_learn_matches_reference_loop_exactly(monkeypatch):
         assert got == want, seed
         edges += len(json.loads(got[1])["graph"]["edges"])
     assert edges > 40
+
+
+def test_joint_learning_learns_edges_on_wine():
+    # K2 starts on the equal-width seed image, not on a collapse to k=1
+    d = load_csv(os.path.join(DATA_DIR, "wine.csv"),
+                 load_schema(os.path.join(DATA_DIR, "wine.schema.json")))
+    res = multi_restart(d, 1, 0, max_parents=2)
+    assert res.graph.edges
+    assert any(p.k > 1 for p in res.policies.policies.values())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_joint_learning_recalls_planted_chain(seed):
+    res = multi_restart(planted_chain(500, seed), 1, seed, max_parents=2)
+    assert recalled(res.graph.edges) == 3, res.graph.edges
