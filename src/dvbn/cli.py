@@ -21,6 +21,7 @@ from .errors import ConfigError, DataError, DvbnError
 from .evaluation import (CvReport, cross_validate, naive_bayes_protocol,
                          train_policies)
 from .graph import Dag
+from .multivar import NOT_CONVERGED
 from .structure import multi_restart
 
 EXIT_CONFIG = 2
@@ -71,6 +72,16 @@ def _load_structure(path: str, d: MixedDataset) -> Dag:
     return g
 
 
+def _refuse_given(why: str, *params: str) -> None:
+    """Config error naming those of ``params`` set on the command line; a
+    flag left at its default is not refused."""
+    ctx = click.get_current_context()
+    given = [f"--{p.replace('_', '-')}" for p in params
+             if ctx.get_parameter_source(p) is not ParameterSource.DEFAULT]
+    if given:
+        raise ConfigError(f"{why}: {', '.join(given)} would be ignored")
+
+
 def _write(out_dir: str, name: str, text: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
@@ -92,14 +103,15 @@ def main():
 @click.option("--k", type=click.IntRange(min=1), default=5,
               help="interval count for method=uniform")
 @click.option("--seed", type=int, required=True)
-@click.option("--max-cycles", type=click.IntRange(min=1), default=10)
 @click.option("--out", required=True, help="output directory")
 @_handle_errors
-def discretize(data, schema, structure, method, k, seed, max_cycles, out):
+def discretize(data, schema, structure, method, k, seed, out):
     """Discretize all continuous variables on a fixed structure."""
+    if method != "uniform":
+        _refuse_given("only --method uniform reads an interval count", "k")
     d = _load_dataset(data, schema)
     g = _load_structure(structure, d)
-    pset = train_policies(d, g, method, max_cycles, uniform_k=k)
+    pset = train_policies(d, g, method, uniform_k=k)
     for name, pol in sorted(pset.policies.items()):
         _write(out, f"policy_{name}.json", pol.to_json(variable=name))
     rows = [{"variable": name, "k": pol.k,
@@ -109,8 +121,8 @@ def discretize(data, schema, structure, method, k, seed, max_cycles, out):
     summary = {"method": method, "seed": seed, "converged": pset.converged,
                "passes": pset.pass_count}
     if not pset.converged:
-        summary["warning"] = "did not converge within max_cycles"
-        click.echo("warning: did not converge within max_cycles", err=True)
+        summary["warning"] = NOT_CONVERGED
+        click.echo(f"warning: {NOT_CONVERGED}", err=True)
     _write(out, "discretize_summary.json", json.dumps(summary, indent=2))
     click.echo(f"wrote {len(pset.policies)} policies to {out}")
 
@@ -122,14 +134,12 @@ def discretize(data, schema, structure, method, k, seed, max_cycles, out):
 @click.option("--seed", type=int, required=True)
 @click.option("--restarts", type=click.IntRange(min=1), default=1)
 @click.option("--max-parents", type=click.IntRange(min=0), default=None)
-@click.option("--max-cycles", type=click.IntRange(min=1), default=10)
 @click.option("--out", required=True)
 @_handle_errors
-def learn(data, schema, method, seed, restarts, max_parents, max_cycles, out):
+def learn(data, schema, method, seed, restarts, max_parents, out):
     """Learn structure and discretization policies jointly (restarted K2)."""
     d = _load_dataset(data, schema)
-    res = multi_restart(d, restarts, seed, max_parents=max_parents,
-                        max_cycles=max_cycles, method=method)
+    res = multi_restart(d, restarts, seed, max_parents=max_parents, method=method)
     _write(out, "learn_result.json", res.to_json())
     click.echo(f"best score {res.score:.6f} "
                f"(restart {res.restart_seed}, {len(res.graph.edges)} edges)")
@@ -149,19 +159,18 @@ def learn(data, schema, method, seed, restarts, max_parents, max_cycles, out):
 @click.option("--folds", type=click.IntRange(min=2), default=10)
 @click.option("--restarts", type=click.IntRange(min=1), default=1)
 @click.option("--max-parents", type=click.IntRange(min=0), default=None)
-@click.option("--max-cycles", type=click.IntRange(min=1), default=10)
 @click.option("--out", required=True)
 @_handle_errors
 def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
-             restarts, max_parents, max_cycles, out):
+             restarts, max_parents, out):
     """Cross-validated normalized log-likelihood per method."""
     if nb_class is not None:
-        ctx = click.get_current_context()
-        given = [f"--{p.replace('_', '-')}" for p in ("structure", "restarts", "max_parents")
-                 if ctx.get_parameter_source(p) is not ParameterSource.DEFAULT]
-        if given:
-            raise ConfigError(f"--naive-bayes uses the naive-Bayes structure; "
-                              f"it does not take {', '.join(given)}")
+        _refuse_given("--naive-bayes uses the naive-Bayes structure",
+                      "structure", "restarts", "max_parents")
+    elif structure is not None:
+        _refuse_given("--structure fixes the graph", "restarts", "max_parents")
+    if "uniform" not in methods:
+        _refuse_given("only --method uniform reads an interval count", "k")
     if nb_class is None and structure is None and "uniform" in methods:
         raise ConfigError("--method uniform needs --structure "
                           "(joint learning has no uniform method)")
@@ -170,8 +179,7 @@ def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
         if nb_class not in d.names:
             raise ConfigError(f"--naive-bayes: no column named {nb_class!r} in the data")
         res = naive_bayes_protocol(d, nb_class, folds=folds, seed=seed,
-                                   methods=methods, max_cycles=max_cycles,
-                                   uniform_k=k)
+                                   methods=methods, uniform_k=k)
         doc = {m: {"accuracy": r["accuracy"], "mean_loglik": r["mean_loglik"],
                    "fold_accuracies": r["fold_accuracies"],
                    "fold_logliks": r["fold_logliks"],
@@ -185,8 +193,7 @@ def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
     reports: list[CvReport] = []
     for method in methods:
         rep = cross_validate(d, method, structure=g, folds=folds, seed=seed,
-                             uniform_k=k, max_cycles=max_cycles,
-                             restarts=restarts, max_parents=max_parents)
+                             uniform_k=k, restarts=restarts, max_parents=max_parents)
         reports.append(rep)
         _write(out, f"cv_{method}.json", rep.to_json())
         click.echo(f"{method}: mean normalized loglik = {rep.mean:.6f}")

@@ -85,13 +85,11 @@ def build_context(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn) ->
         [_checked_column(d_star, p, perm) for p in parents], [cards[p] for p in parents], n)
     blocks = [Block(value, j, np.zeros(n, dtype=np.int64), 1, value)]
     for child, spouse_set in zip(children, spouses):
-        ccol = _checked_column(d_star, child, perm)
+        value = _checked_column(d_star, child, perm) - 1
         names = sorted(spouse_set)
-        scols = [_checked_column(d_star, s, perm) for s in names]
-        scards = [cards[s] for s in names]
-        cond, j_cond = joint_codes(scols, scards, n)
-        cell, _ = joint_codes(scols + [ccol], scards + [cards[child]], n)
-        blocks.append(Block(ccol - 1, cards[child], cond, j_cond, cell))
+        cond, j_cond = joint_codes(
+            [_checked_column(d_star, s, perm) for s in names], [cards[s] for s in names], n)
+        blocks.append(Block(value, cards[child], cond, j_cond, cond + value * j_cond))
     blanket = set(parents).union(children, *spouses)
     return NeighborContext(n, blocks, max((cards[b] for b in blanket), default=2))
 

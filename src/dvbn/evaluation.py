@@ -117,7 +117,7 @@ class CvReport:
                 for i, v in enumerate(self.folds)]
 
 
-def train_policies(train: MixedDataset, g: Dag, method: str, max_cycles: int,
+def train_policies(train: MixedDataset, g: Dag, method: str,
                    uniform_k: int) -> PolicySet:
     """Policies for every continuous variable on a fixed graph: equal-width
     ``uniform_k`` intervals for ``method="uniform"``, else
@@ -126,7 +126,7 @@ def train_policies(train: MixedDataset, g: Dag, method: str, max_cycles: int,
         pols = {x: equal_width(sorted_column(train.columns[x]), uniform_k)
                 for x in train.continuous_names()}
         return PolicySet(pols, 0, True)
-    return discretize_all(train, g, max_cycles=max_cycles, method=method)
+    return discretize_all(train, g, method=method)
 
 
 def evaluate_fold(train: MixedDataset, test: MixedDataset, g: Dag,
@@ -141,8 +141,7 @@ def evaluate_fold(train: MixedDataset, test: MixedDataset, g: Dag,
 
 def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
                    folds: int = 10, seed: int = 0, uniform_k: int = 5,
-                   max_cycles: int = 10, restarts: int = 1,
-                   max_parents: int | None = None) -> CvReport:
+                   restarts: int = 1, max_parents: int | None = None) -> CvReport:
     """Cross-validated normalized log-likelihood.
 
     With ``structure`` given, policies are retrained per fold on the fixed
@@ -157,11 +156,10 @@ def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
     for f, (train, test) in enumerate(_fold_splits(d, folds, seed)):
         if structure is not None:
             g = structure
-            pset = train_policies(train, g, method, max_cycles, uniform_k)
+            pset = train_policies(train, g, method, uniform_k)
         else:
             res = multi_restart(train, restarts, seed=seed + 1000 + f,
-                                max_parents=max_parents, max_cycles=max_cycles,
-                                method=method)
+                                max_parents=max_parents, method=method)
             g, pset = res.graph, res.policies
         scores.append(evaluate_fold(train, test, g, pset)[0])
     return CvReport(method=method, folds=scores, seed=seed,
@@ -193,7 +191,7 @@ def _nb_predict(model: TrainedModel, d_star_test: DiscreteDataset,
 
 def naive_bayes_protocol(d: MixedDataset, class_var: str, folds: int = 10,
                          seed: int = 0, methods: tuple[str, ...] = ("bayes", "mdl"),
-                         max_cycles: int = 10, uniform_k: int = 5) -> dict:
+                         uniform_k: int = 5) -> dict:
     """Fixed class-to-feature structure: full-data policies per method plus
     cross-validated accuracy and normalized log-likelihood.  ``uniform_k`` is
     the interval count of ``method="uniform"``."""
@@ -206,10 +204,10 @@ def naive_bayes_protocol(d: MixedDataset, class_var: str, folds: int = 10,
 
     out = {}
     for method in methods:
-        full = train_policies(d, g, method, max_cycles, uniform_k)
+        full = train_policies(d, g, method, uniform_k)
         accs, lls = [], []
         for train, test in _fold_splits(d, folds, seed):
-            pset = train_policies(train, g, method, max_cycles, uniform_k)
+            pset = train_policies(train, g, method, uniform_k)
             ll, model, d_star_test = evaluate_fold(train, test, g, pset)
             pred = _nb_predict(model, d_star_test, class_var, features)
             accs.append(float(np.mean(pred == test.columns[class_var])))

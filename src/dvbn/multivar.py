@@ -9,11 +9,11 @@ import numpy as np
 
 from .dataset import DiscreteDataset, MixedDataset, sorted_view
 from .discretizer import discretize_one
-from .errors import ValidationError
 from .graph import Dag
 from .policy import DiscretizationPolicy, equal_width
 
-DEFAULT_MAX_CYCLES = 10
+MAX_PASSES = 10  # reaching it means the passes cycle
+NOT_CONVERGED = f"did not converge within MAX_PASSES={MAX_PASSES} passes: the policies cycle"
 DEFAULT_INITIAL_K = 5  # used when no variable is initially discrete
 
 
@@ -45,15 +45,11 @@ def apply_policies(d: MixedDataset, policies: dict[str, DiscretizationPolicy]) -
     return DiscreteDataset(columns, cards)
 
 
-def discretize_all(d: MixedDataset, g: Dag, *,
-                   max_cycles: int = DEFAULT_MAX_CYCLES,
-                   method: str = "bayes") -> PolicySet:
+def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicySet:
     """Leaves-to-root passes of single-variable discretization over every
     continuous variable of ``d`` until the edge lists stop changing, starting
     from equal-width policies with :func:`initial_interval_count` intervals.
     """
-    if max_cycles < 1:
-        raise ValidationError("max_cycles must be >= 1")
     cont_vars = g.reverse_topological(d.continuous_names())
     if not cont_vars:
         return PolicySet({}, 0, True)
@@ -71,7 +67,7 @@ def discretize_all(d: MixedDataset, g: Dag, *,
     stale = set(cont_vars)
     pass_count = 0
     converged = False
-    while pass_count < max_cycles:
+    while pass_count < MAX_PASSES:
         pass_count += 1
         changed = False
         for x in cont_vars:
@@ -88,6 +84,5 @@ def discretize_all(d: MixedDataset, g: Dag, *,
             converged = True
             break
     if not converged:
-        warnings.warn(f"discretization did not converge within {max_cycles} passes",
-                      stacklevel=2)
+        warnings.warn(f"discretization {NOT_CONVERGED}", stacklevel=2)
     return PolicySet(policies, pass_count, converged)

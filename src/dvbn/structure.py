@@ -120,8 +120,8 @@ class LearnResult:
 
 
 def learn_dvbn(d: MixedDataset, order: list[str],
-               max_parents: int | None = None, max_cycles: int = 10,
-               method: str = "bayes", restart_seed: int = 0) -> LearnResult:
+               max_parents: int | None = None, method: str = "bayes",
+               restart_seed: int = 0) -> LearnResult:
     """Alternate greedy K2 parent additions with rediscretization.
 
     K2 starts on the equal-width image of ``d``, with
@@ -145,7 +145,7 @@ def learn_dvbn(d: MixedDataset, order: list[str],
         linked = [v for v in d.variables
                   if v.kind == "discrete" or g.markov_blanket(v.name)]
         d_linked = MixedDataset(linked, {v.name: d.columns[v.name] for v in linked})
-        fit = discretize_all(d_linked, g, max_cycles=max_cycles, method=method)
+        fit = discretize_all(d_linked, g, method=method)
         pset = PolicySet({**start, **fit.policies}, fit.pass_count, fit.converged)
         d_star = apply_policies(d, pset.policies)
         return d_star
@@ -165,12 +165,11 @@ def _random_orders(names: list[str], n_restarts: int, seed: int) -> list[list[st
 
 
 def multi_restart(d: MixedDataset, n_restarts: int, seed: int,
-                  max_parents: int | None = None, max_cycles: int = 10,
-                  method: str = "bayes") -> LearnResult:
+                  max_parents: int | None = None, method: str = "bayes") -> LearnResult:
     """Best of ``n_restarts`` random variable orderings; ties keep the
     earliest restart."""
-    return max((learn_dvbn(d, order, max_parents=max_parents,
-                           max_cycles=max_cycles, method=method, restart_seed=r)
+    return max((learn_dvbn(d, order, max_parents=max_parents, method=method,
+                           restart_seed=r)
                 for r, order in enumerate(_random_orders(d.names, n_restarts, seed))),
                key=lambda res: res.score)
 

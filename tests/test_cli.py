@@ -205,16 +205,15 @@ def test_duplicate_schema_column_is_data_error(workdir):
     assert "data error" in r.output and "column 'x' is listed twice" in r.output
 
 
-@pytest.mark.parametrize("flag,value", [("--max-cycles", "0"), ("--k", "0")])
+@pytest.mark.parametrize("flag,value", [("--k", "0")])
 def test_discretize_bad_flag_is_config_error(workdir, flag, value):
     r = run(_discretize_args(workdir, workdir / "d.csv", flag, value))
     assert r.exit_code == 2
     assert flag in r.output
 
 
-@pytest.mark.parametrize("flag,value", [("--folds", "1"), ("--max-cycles", "0"),
-                                        ("--restarts", "0"), ("--k", "0"),
-                                        ("--max-parents", "-3")])
+@pytest.mark.parametrize("flag,value", [("--folds", "1"), ("--restarts", "0"),
+                                        ("--k", "0"), ("--max-parents", "-3")])
 def test_evaluate_bad_flag_is_config_error(workdir, flag, value):
     r = run(["evaluate", "--data", str(workdir / "d.csv"),
              "--schema", str(workdir / "schema.json"),
@@ -224,8 +223,7 @@ def test_evaluate_bad_flag_is_config_error(workdir, flag, value):
     assert flag in r.output
 
 
-@pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--max-cycles", "0"),
-                                        ("--max-parents", "-3")])
+@pytest.mark.parametrize("flag,value", [("--restarts", "0"), ("--max-parents", "-3")])
 def test_learn_bad_flag_is_config_error(workdir, flag, value):
     r = run(["learn", "--data", str(workdir / "d.csv"),
              "--schema", str(workdir / "schema.json"),
@@ -292,3 +290,57 @@ def test_naive_bayes_with_structure_flags_is_config_error(workdir, data_dir, ext
     assert "config error" in r.output
     assert all(flag in r.output for flag in extra if flag.startswith("--"))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["discretize", "learn", "evaluate"])
+def test_max_cycles_flag_is_gone(workdir, command):
+    r = run([command, "--max-cycles", "10"])
+    assert r.exit_code == 2
+    assert "No such option" in r.output and "--max-cycles" in r.output
+
+
+@pytest.mark.parametrize("extra", [["--restarts", "7"], ["--max-parents", "1"],
+                                   ["--restarts", "7", "--max-parents", "1"]],
+                         ids=["restarts", "max_parents", "both"])
+def test_fixed_structure_with_joint_flags_is_config_error(workdir, extra):
+    out = workdir / "eval_joint_flags"
+    r = run(["evaluate", "--data", str(workdir / "missing.csv"),
+             "--structure", str(workdir / "g.json"), "--method", "bayes",
+             "--seed", "0", "--out", str(out), *extra])
+    # rejected before the data is read: the data path does not exist
+    assert r.exit_code == 2, r.output
+    assert "config error" in r.output and "--structure" in r.output
+    assert all(flag in r.output for flag in extra if flag.startswith("--"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["bayes", "mdl"])
+def test_discretize_k_without_uniform_is_config_error(workdir, method):
+    args = _discretize_args(workdir, workdir / "missing.csv", "--method", method, "--k", "9")
+    r = run(args)
+    assert r.exit_code == 2, r.output
+    assert "config error" in r.output and "--k" in r.output
+    assert not (workdir / "o").exists()
+
+
+@pytest.mark.parametrize("extra", [["--structure", "g.json"], ["--naive-bayes", "a"]],
+                         ids=["fixed", "naive_bayes"])
+def test_evaluate_k_without_uniform_is_config_error(workdir, extra):
+    extra = [str(workdir / v) if v.endswith(".json") else v for v in extra]
+    r = run(["evaluate", "--data", str(workdir / "missing.csv"),
+             "--method", "bayes", "--method", "mdl", "--k", "3",
+             "--seed", "0", "--out", str(workdir / "o"), *extra])
+    assert r.exit_code == 2, r.output
+    assert "config error" in r.output and "--k" in r.output
+    assert not (workdir / "o").exists()
+
+
+def test_evaluate_k_with_uniform_among_methods_is_accepted(workdir):
+    out = workdir / "eval_k"
+    r = run(["evaluate", "--data", str(workdir / "d.csv"),
+             "--schema", str(workdir / "schema.json"),
+             "--structure", str(workdir / "g.json"),
+             "--method", "bayes", "--method", "uniform", "--k", "3",
+             "--seed", "0", "--folds", "2", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    assert (out / "cv_uniform.json").exists()

@@ -9,7 +9,6 @@ from dvbn import multivar
 from dvbn.dataset import (MixedDataset, Variable, load_csv, load_schema,
                           sorted_column, sorted_view)
 from dvbn.discretizer import discretize_one
-from dvbn.errors import ValidationError
 from dvbn.evaluation import naive_bayes_structure
 from dvbn.graph import Dag
 from dvbn.multivar import (PolicySet, apply_policies, discretize_all,
@@ -49,10 +48,11 @@ def test_discretize_all_converges_and_is_idempotent():
         assert again.edges == pset.policies[x].edges
 
 
-def test_discretize_all_validations():
-    d, g = random_mixed(2)
-    with pytest.raises(ValidationError, match="max_cycles"):
-        discretize_all(d, g, max_cycles=0)
+def test_discretize_all_stops_a_cycle_at_max_passes():
+    d, g = random_mixed(79)  # its bayes passes settle into a 2-cycle
+    with pytest.warns(UserWarning, match=f"within MAX_PASSES={multivar.MAX_PASSES} passes"):
+        pset = discretize_all(d, g)
+    assert pset.pass_count == multivar.MAX_PASSES and not pset.converged
 
 
 def test_discretize_all_empty_is_noop():
@@ -77,7 +77,7 @@ def test_children_are_solved_before_parents(monkeypatch):
     assert set(pset.policies) == {"X", "Y"}
 
 
-def _full_resolve_reference(d, g, cont_vars, max_cycles=10, method="bayes"):
+def _full_resolve_reference(d, g, cont_vars, method="bayes"):
     """The pass loop as first written: every pass re-solves every variable."""
     k0 = initial_interval_count(d)
     cols = {x: sorted_view(d, x) for x in cont_vars}
@@ -85,7 +85,7 @@ def _full_resolve_reference(d, g, cont_vars, max_cycles=10, method="bayes"):
     d_star = apply_policies(d, policies)
     pass_count = 0
     converged = False
-    while pass_count < max_cycles:
+    while pass_count < multivar.MAX_PASSES:
         pass_count += 1
         changed = False
         for x in cont_vars:

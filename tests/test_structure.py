@@ -210,3 +210,4 @@ def test_joint_learning_learns_edges_on_wine():
 def test_joint_learning_recalls_planted_chain(seed):
     res = multi_restart(planted_chain(500, seed), 1, seed, max_parents=2)
     assert recalled(res.graph.edges) == 3, res.graph.edges
+    assert not any("Z" in e for e in res.graph.edges), res.graph.edges  # Z is independent
