@@ -29,8 +29,9 @@ covers the JSON of ``multi_restart`` with 2 restarts, seed 0 and
 ``max_parents=2`` on Wine and Iris with bayes and mdl, and with 1 restart,
 ``max_parents=2`` and bayes on ``tests/planted.py``'s chain at n=500, seeds
 0-4 (data and restart seed alike).  It imports the package from ``src/`` and
-the generators from ``tests/`` of the checkout it sits in.  The
-n=2000 MDL solve takes most of its time, several seconds of CPU.
+the generators from ``tests/`` of the checkout it sits in.  It takes
+about 23 s of CPU on a 2-core machine; the n=2000 MDL solve is about 4 s
+of that.
 """
 
 import hashlib

@@ -131,12 +131,20 @@ def mdl_objective(policy: DiscretizationPolicy, col: SortedColumn,
     return total
 
 
+def _mdl_block_elements(m: int) -> int:
+    """Elements of :func:`mdl_dp`'s layer buffer: the largest layer, or one
+    block of :data:`BLOCK_ELEMENTS`, but never less than one row."""
+    return min((m - 1) ** 2, max(BLOCK_ELEMENTS, m - 1))
+
+
 def mdl_dp_elements(m: int) -> int:
     """8-byte elements that :func:`mdl_dp` holds at its peak for a column of
-    m unique values: the transposed kernel, one layer buffer, the back
-    pointers of every layer, a few m-vectors, and the iterator buffers
-    (``np.getbufsize()`` elements per operand) of a layer's strided add."""
-    return m * m + (m - 1) ** 2 + m * (m - 1) // 2 + 8 * m + 3 * np.getbufsize()
+    m unique values: the transposed kernel, the back pointers of every layer,
+    one layer block of at most :data:`BLOCK_ELEMENTS`, a few m-vectors, and
+    the iterator buffers (``np.getbufsize()`` elements per operand) of a
+    block's strided add."""
+    return (m * m + m * (m - 1) // 2 + _mdl_block_elements(m) + 8 * m
+            + 3 * np.getbufsize())
 
 
 def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
@@ -144,6 +152,11 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
 
     Returns ``(edges, total, per_k_totals)`` where ``per_k_totals[k-1]`` is the
     full MDL objective of the best k-interval policy.
+
+    A layer whose candidates fit in :data:`BLOCK_ELEMENTS` is one add and one
+    argmin.  A larger layer goes in row blocks ``[j1, j2)`` of at most that
+    many elements, each over only the columns ``[r-j2, r)`` that hold its
+    live splits: every column left out is a split past the end of each row.
     """
     m = col.m
     u0 = col.uniques
@@ -159,7 +172,7 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
 
     s = hmdl[0]                            # k = 1: single interval over prefix
     per_k = [_penalty(1, m, *pen) + float(s[m - 1])]
-    buf = np.empty((m - 1) * (m - 1))
+    buf = np.empty(_mdl_block_elements(m))
     # the r = m-k+1 back pointers of layer k start at r(r-1)/2; entry v-k
     # holds m-1-u for the best split u of end v
     backs = np.empty(m * (m - 1) // 2, dtype=np.intp)
@@ -167,10 +180,28 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     for k in range(2, m + 1):
         r = m - k + 1
         # row j: candidates u = m-1 .. k-1 for end v = k+j; s holds layer
-        # k-1's best sums over the prefixes v-1 = k-2 .. m-1
-        a = np.add(hT[k - 1:, :r], s[-2::-1], out=buf[:r * r].reshape(r, r))
-        arg = np.argmin(a, axis=1, out=backs[r * (r - 1) // 2:r * (r + 1) // 2])
-        s = a[np.arange(r), arg]
+        # k-1's best sums over the prefixes v-1 = k-2 .. m-1.  Only the last
+        # j+1 columns of row j are live splits.
+        if r * r <= BLOCK_ELEMENTS:
+            a = np.add(hT[k - 1:, :r], s[-2::-1], out=buf[:r * r].reshape(r, r))
+            arg = np.argmin(a, axis=1, out=backs[r * (r - 1) // 2:r * (r + 1) // 2])
+            s = a[np.arange(r), arg]
+        else:
+            prev = s[-2::-1]
+            back = backs[r * (r - 1) // 2:r * (r + 1) // 2]
+            s = np.empty(r)
+            j1 = 0
+            while j1 < r:
+                # the most rows [j1, j2) whose live columns [r-j2, r) fit
+                j2 = (j1 + math.isqrt(j1 * j1 + 4 * BLOCK_ELEMENTS)) // 2
+                j2 = min(r, max(j1 + 1, j2))
+                c = r - j2
+                a = np.add(hT[k - 1 + j1:k - 1 + j2, c:r], prev[c:],
+                           out=buf[:(j2 - j1) * j2].reshape(j2 - j1, j2))
+                arg = np.argmin(a, axis=1, out=back[j1:j2])
+                s[j1:j2] = a[np.arange(j2 - j1), arg]
+                arg += c
+                j1 = j2
         total_k = _penalty(k, m, *pen) + float(s[r - 1])
         per_k.append(total_k)
         if total_k < best_total:

@@ -230,6 +230,18 @@ def test_mdl_dp_matches_reference_at_large_m(n, decimals):
     _assert_mdl_dp_matches_reference(d_star, g, col)
 
 
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_mdl_dp_matches_reference_in_small_blocks(monkeypatch, budget):
+    # layers wider than the budget run in row blocks trimmed to their live
+    # columns; 3B tied values give long layers with equal candidates
+    monkeypatch.setattr(discretizer, "BLOCK_ELEMENTS", budget)
+    for seed in range(200):
+        d_star, g, col = random_instance(seed)
+        if col.m > 1:
+            _assert_mdl_dp_matches_reference(d_star, g, col)
+    _assert_mdl_dp_matches_reference(*blanket_instance(3 * B, 0, 1))
+
+
 def test_mdl_dp_memory_projection_covers_its_traced_peak():
     d_star, g, col = blanket_instance(700, 700)
     ctx = build_context(d_star, g, "X", col)
