@@ -181,7 +181,10 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
         r = m - k + 1
         # row j: candidates u = m-1 .. k-1 for end v = k+j; s holds layer
         # k-1's best sums over the prefixes v-1 = k-2 .. m-1.  Only the last
-        # j+1 columns of row j are live splits.
+        # j+1 columns of row j are live splits.  A layer that fits one block
+        # skips the block loop: through the loop, whose bookkeeping (bounds,
+        # a fresh sum vector, a copy) costs a few us a layer, the MDL solves
+        # of Wine and Iris, all of them small, took 14-16% longer.
         if r * r <= BLOCK_ELEMENTS:
             a = np.add(hT[k - 1:, :r], s[-2::-1], out=buf[:r * r].reshape(r, r))
             arg = np.argmin(a, axis=1, out=backs[r * (r - 1) // 2:r * (r + 1) // 2])
