@@ -1,8 +1,8 @@
 """Command-line entry points: discretize, learn, evaluate.
 
-All randomness flows from the mandatory ``--seed``; outputs are JSON and CSV
-files under ``--out`` and are bit-reproducible for a fixed seed (wall-time
-fields excepted).
+All randomness flows from the ``--seed`` that ``learn`` and ``evaluate``
+require; outputs are JSON and CSV files under ``--out``, bit-reproducible
+for a fixed seed (wall-time fields excepted).
 """
 
 from __future__ import annotations
@@ -102,10 +102,9 @@ def main():
 @click.option("--method", type=click.Choice(["bayes", "mdl", "uniform"]), default="bayes")
 @click.option("--k", type=click.IntRange(min=1), default=5,
               help="interval count for method=uniform")
-@click.option("--seed", type=int, required=True)
 @click.option("--out", required=True, help="output directory")
 @_handle_errors
-def discretize(data, schema, structure, method, k, seed, out):
+def discretize(data, schema, structure, method, k, out):
     """Discretize all continuous variables on a fixed structure."""
     if method != "uniform":
         _refuse_given("only --method uniform reads an interval count", "k")
@@ -118,7 +117,7 @@ def discretize(data, schema, structure, method, k, seed, out):
              "edges": " ".join(repr(e) for e in pol.edges)}
             for name, pol in sorted(pset.policies.items())]
     _write_csv(out, "policies.csv", ["variable", "k", "edges"], rows)
-    summary = {"method": method, "seed": seed, "converged": pset.converged,
+    summary = {"method": method, "converged": pset.converged,
                "passes": pset.pass_count}
     if not pset.converged:
         summary["warning"] = NOT_CONVERGED

@@ -42,7 +42,9 @@ def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int) -> DpState:
 
     Ends v are taken in column blocks of about :data:`BLOCK_ELEMENTS`
     candidates.  A block forms every ``(W[v] + hm[u, v-1]) + Lr·(u_v - u_u)``
-    at once; each v then only adds ``S[u]`` and takes one argmin.
+    at once, last split first; each v then adds ``S[u]``, also kept last
+    first, and takes one argmin, whose first hit is the larger u.  The single
+    interval adds ``S[0] = 0``, which leaves its candidate (never -0.0) as is.
     """
     u0 = col.uniques
     m = col.m
@@ -55,24 +57,24 @@ def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int) -> DpState:
     for i in range(1, m):
         W[i] = neg_log1m_exp(L * float(u0[i] - u0[i - 1]) / rng)
 
-    S = np.zeros(m + 1)
+    rS = np.zeros(m + 1)  # rS[m-v] = S[v]
     back = [0] * (m + 1)
-    S[1] = W[1] + float(hm[0, 0])  # single interval over rows 1..s_1
+    rS[m - 1] = W[1] + float(hm[0, 0])  # single interval over rows 1..s_1
     Wv = np.array(W)
     width = max(1, BLOCK_ELEMENTS // m)
     for v1 in range(2, m + 1, width):
         v2 = min(m + 1, v1 + width)
-        # row i holds the candidates u = 0..v-1 of v = v1 + i, before S[u]
-        cand = np.ascontiguousarray(hm[:v2 - 1, v1 - 1:v2 - 1].T)
+        # row i: the candidates u = v2-2..0 of v = v1 + i, before S[u]
+        cand = np.ascontiguousarray(hm[v2 - 2::-1, v1 - 1:v2 - 1].T)
         cand += Wv[v1:v2, None]
-        cand += Lr * (u0[v1 - 1:v2 - 1, None] - u0[:v2 - 1])
+        cand += Lr * (u0[v1 - 1:v2 - 1, None] - u0[v2 - 2::-1])
         for v, c in zip(range(v1, v2), cand):
-            c = c[:v]
-            c[1:] += S[1:v]  # u = 0 is the single interval: no prefix
-            bu = v - 1 - int(np.argmin(c[::-1]))  # first hit: the larger u
-            S[v] = c[bu]
-            back[v] = bu
-    return DpState(S.tolist(), back, W)
+            c = c[v2 - 1 - v:]
+            c += rS[m - v + 1:]
+            t = int(c.argmin())
+            rS[m - v] = c[t]
+            back[v] = v - 1 - t
+    return DpState(rS[::-1].tolist(), back, W)
 
 
 def _edges_from_back(back: list[int], col: SortedColumn) -> tuple[float, ...]:
@@ -108,6 +110,19 @@ def _penalty(k: int, m: int, n: int, a: int, b: int) -> float:
     if m > 1:
         total += (m - 1) * _binary_entropy((k - 1) / (m - 1))
     return total
+
+
+def _penalties(m: int, n: int, a: int, b: int) -> list[float]:
+    """``_penalty(k, m, n, a, b)`` for k = 1..m by the same operations, with
+    ``0.5·ln n`` taken once and the entropy inline; adding its 0 at k = 1 and
+    k = m would leave the total, which is never -0.0, as it is."""
+    half_log_n, out = 0.5 * math.log(n), []
+    for k in range(1, m + 1):
+        out.append(half_log_n * (a * k - b) + math.log(k))
+        if 1 < k < m:
+            p = (k - 1) / (m - 1)
+            out[-1] += (m - 1) * (-p * math.log(p) - (1 - p) * math.log(1 - p))
+    return out
 
 
 def mdl_penalty(k: int, m: int, ctx: NeighborContext) -> float:
@@ -168,10 +183,10 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     hT = hmdl.T[:, ::-1].copy()
     for r in range(m - 1):
         hT[r, :m - 1 - r] = np.inf
-    pen = (ctx.n, *_param_counts(ctx))
+    pen = _penalties(m, ctx.n, *_param_counts(ctx))
 
     s = hmdl[0]                            # k = 1: single interval over prefix
-    per_k = [_penalty(1, m, *pen) + float(s[m - 1])]
+    per_k = [pen[0] + float(s[m - 1])]
     buf = np.empty(_mdl_block_elements(m))
     # the r = m-k+1 back pointers of layer k start at r(r-1)/2; entry v-k
     # holds m-1-u for the best split u of end v
@@ -190,7 +205,7 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
             arg = np.argmin(a, axis=1, out=backs[r * (r - 1) // 2:r * (r + 1) // 2])
             s = a[np.arange(r), arg]
         else:
-            prev = s[-2::-1]
+            prev = np.ascontiguousarray(s[-2::-1])
             back = backs[r * (r - 1) // 2:r * (r + 1) // 2]
             s = np.empty(r)
             j1 = 0
@@ -205,7 +220,7 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
                 s[j1:j2] = a[np.arange(j2 - j1), arg]
                 arg += c
                 j1 = j2
-        total_k = _penalty(k, m, *pen) + float(s[r - 1])
+        total_k = pen[k - 1] + float(s[r - 1])
         per_k.append(total_k)
         if total_k < best_total:
             best_k, best_total = k, total_k

@@ -207,11 +207,15 @@ def _occurrence_before(codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_counts(codes: np.ndarray, j: int, step: np.ndarray, m: int) -> np.ndarray:
-    """C[u, code] = occurrences of code among the rows before boundary u's
-    interval, u = 0..m-1; row r is first counted at boundary ``step[r]``."""
+def _row_block_counts(codes: np.ndarray, j: int, step: np.ndarray, m: int):
+    """``counts(u1, u2, a1)``: for boundaries u = u1..u2-1 and rows
+    ``a1+1..n``, the occurrences of each row's code (of ``j``) among the
+    earlier rows of u's interval, or -(those from the row up to the interval)
+    for a row before it.  Row r is first counted at boundary ``step[r]``."""
     inc = np.bincount(step * j + codes, minlength=(m + 1) * j).reshape(m + 1, j)
-    return np.cumsum(inc[:m], axis=0)
+    G, C = _occurrence_before(codes), np.cumsum(inc[:m], axis=0)
+    # np.take along an axis gathers faster than fancy indexing
+    return lambda u1, u2, a1: G[a1:] - np.take(C[u1:u2], codes[a1:], axis=1)
 
 
 def check_dense_budget(m: int, elements: int, what: str) -> None:
@@ -230,56 +234,55 @@ def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.nd
     :func:`h_matrix`, over the blocks of ``ctx`` (see :mod:`dvbn.counts`):
     the joint parent configuration under a single condition, then each child
     given its spouses.  For a block of ``j`` values, ``block_term(value, j)``
-    gives ``term(c_cell, c_cond, a)``: the terms of rows ``a+1..n`` from the
-    counts of each row's (value, condition) cell and condition among the
-    interval's earlier rows.  Blocks of one value contribute nothing.
+    gives ``term(c_cell, c_cond, a, before)``: the terms of rows ``a+1..n``,
+    one row per boundary, from the counts of each row's (value, condition)
+    cell and condition among the interval's earlier rows.  Counts arrive raw:
+    rows before a boundary's interval, marked in ``before``, have counts in
+    ``-n..-1`` and must get the term +0.0.  Blocks of one value add nothing.
 
-    Split boundaries are taken in row blocks of about
-    :data:`BLOCK_ELEMENTS` terms.  A row block starting at boundary ``u1``
-    evaluates the terms of rows ``a(u1)+1..n`` for each of its boundaries and
-    zeros those before each boundary's own interval, so every partial sum
-    equals the one-boundary cumulative sum bit for bit."""
+    Split boundaries are taken in row blocks of about :data:`BLOCK_ELEMENTS`
+    terms, and each block's prefix sums over a row block are added into the
+    kernel while they are in cache, in block order: every entry equals the
+    sum of the one-boundary cumulative sums bit for bit."""
     m, n, s = col.m, ctx.n, col.last_occurrence
     check_dense_budget(m, m * m, "kernel matrix")
     hm = np.zeros((m, m))
     a = np.concatenate(([0], s[:-1]))  # a[u]: rows before boundary u's interval
     step = np.searchsorted(a, np.arange(n), side="right")
-    for value, j, cond, j_cond, cell in ctx.blocks:
-        if j <= 1:
-            continue
-        term = block_term(value, j)
-        G, C = _occurrence_before(cell), _boundary_counts(cell, j * j_cond, step, m)
-        if j_cond > 1:
-            Gc, Cc = _occurrence_before(cond), _boundary_counts(cond, j_cond, step, m)
-        u1 = 0
-        while u1 < m:
-            a1 = int(a[u1])
-            u2 = min(m, u1 + max(1, BLOCK_ELEMENTS // (n - a1)))
-            rows = np.arange(n - a1)
-            start = a[u1:u2, None] - a1  # each boundary's first row, as a column
-            c_cell = G[a1:] - C[u1:u2][:, cell[a1:]]
-            if j_cond > 1:
-                c_cond = Gc[a1:] - Cc[u1:u2][:, cond[a1:]]
-            else:
-                c_cond = rows - start
-            # counts of rows before a boundary's interval are negative: clamp
-            # them so the terms stay finite, then zero those terms
-            np.maximum(c_cell, 0, out=c_cell)
-            np.maximum(c_cond, 0, out=c_cond)
-            terms = term(c_cell, c_cond, a1)
-            terms[rows < start] = 0.0
+    blocks = [(block_term(value, j), _row_block_counts(cell, j * j_cond, step, m),
+               _row_block_counts(cond, j_cond, step, m) if j_cond > 1 else None)
+              for value, j, cond, j_cond, cell in ctx.blocks if j > 1]
+    u1 = 0
+    while u1 < m:
+        a1 = int(a[u1])
+        u2 = min(m, u1 + max(1, BLOCK_ELEMENTS // (n - a1)))
+        # a single condition's counts: the rows since each boundary's first
+        since = np.arange(n - a1) - (a[u1:u2, None] - a1)
+        before = since < 0
+        # entries with v <= u gather a zero prefix sum and stay 0; with every
+        # value unique (m == n) the gather is the identity
+        idx = None if m == n else s[u1:] - 1 - a1
+        out = hm[u1:u2, u1:]
+        for term, cell_counts, cond_counts in blocks:
+            c_cond = since if cond_counts is None else cond_counts(u1, u2, a1)
+            terms = term(cell_counts(u1, u2, a1), c_cond, a1, before)
             csum = np.cumsum(terms, axis=1, out=terms)
-            # entries with v <= u gather a zero prefix sum and stay 0
-            hm[u1:u2, u1:] += csum[:, s[u1:] - 1 - a1]
-            u1 = u2
+            out += csum if idx is None else np.take(csum, idx, axis=1)
+        u1 = u2
     return hm
 
 
 def h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
     """Bayesian kernel over all boundary intervals; entry (u, v-1) is
     ``h(s_u + 1, s_v)``.  Entries with v <= u are unused and left at 0."""
+    n = ctx.n
+
     def block_term(value, j):
-        return lambda c_cell, c_cond, a: np.log(c_cond + j) - np.log(c_cell + 1)
+        # ln(c + i) by np.log (math.log differs in the last bit on some
+        # integers) for the counts c = 0..n-1, then n zeros for -n..-1
+        t_cond, t_cell = (np.concatenate((np.log(np.arange(i, n + i)), np.zeros(n)))
+                          for i in (j, 1))
+        return lambda c_cell, c_cond, a, before: t_cond[c_cond] - t_cell[c_cell]
     return _kernel_matrix(ctx, col, block_term)
 
 
@@ -295,13 +298,14 @@ def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
     :func:`h_matrix`.  Summed over a partition this equals
     ``-n·[I(X,Pa) + Σ_j I(C_j, Pa(C_j))]`` up to terms constant in the policy."""
     log_n = math.log(ctx.n)
-    # _kernel_matrix clamps the counts into 0..n-1: look their terms up
+    # counts in -n..-1 index this table from its end; their terms, whose
+    # log_n - log_m is not 0, are then replaced by 0
     phi = _phi(np.arange(ctx.n + 1))
 
     def block_term(value, j):
         log_m = np.log(np.maximum(np.bincount(value, minlength=j), 1))
-        return lambda c_cell, c_cond, a: -(
-            phi[c_cell] - log_m[value[a:]] - phi[c_cond] + log_n)
+        return lambda c_cell, c_cond, a, before: np.where(before, 0.0, -(
+            phi[c_cell] - log_m[value[a:]] - phi[c_cond] + log_n))
     return _kernel_matrix(ctx, col, block_term)
 
 

@@ -38,10 +38,11 @@ def test_discretize_writes_outputs(workdir):
     r = run(["discretize", "--data", str(workdir / "d.csv"),
              "--schema", str(workdir / "schema.json"),
              "--structure", str(workdir / "g.json"),
-             "--seed", "0", "--out", str(out)])
+             "--out", str(out)])
     assert r.exit_code == 0, r.output
     assert (out / "policies.csv").exists()
-    assert (out / "discretize_summary.json").exists()
+    summary = json.loads((out / "discretize_summary.json").read_text())
+    assert "seed" not in summary
     doc = json.loads((out / "policy_x.json").read_text())
     assert doc["variable"] == "x" and "edges" in doc
 
@@ -52,7 +53,7 @@ def test_discretize_uniform(workdir):
              "--schema", str(workdir / "schema.json"),
              "--structure", str(workdir / "g.json"),
              "--method", "uniform", "--k", "3",
-             "--seed", "0", "--out", str(out)])
+             "--out", str(out)])
     assert r.exit_code == 0, r.output
     doc = json.loads((out / "policy_x.json").read_text())
     assert len(doc["edges"]) <= 2
@@ -61,7 +62,7 @@ def test_discretize_uniform(workdir):
 def test_missing_data_file_is_config_error(workdir):
     r = run(["discretize", "--data", str(workdir / "missing.csv"),
              "--structure", str(workdir / "g.json"),
-             "--seed", "0", "--out", str(workdir / "o")])
+             "--out", str(workdir / "o")])
     assert r.exit_code == 2
     assert "config error" in r.output
 
@@ -72,7 +73,7 @@ def test_bad_data_is_data_error(workdir):
     (workdir / "gx.json").write_text(Dag({"x": None}).to_json())
     r = run(["discretize", "--data", str(bad),
              "--schema", str(workdir / "schema_x.json"), "--structure",
-             str(workdir / "gx.json"), "--seed", "0",
+             str(workdir / "gx.json"),
              "--out", str(workdir / "o")])
     # schema file missing -> config error; with schema present -> data error
     assert r.exit_code == 2
@@ -80,7 +81,7 @@ def test_bad_data_is_data_error(workdir):
         json.dumps({"columns": [{"name": "x", "kind": "continuous"}]}))
     r = run(["discretize", "--data", str(bad),
              "--schema", str(workdir / "schema_x.json"), "--structure",
-             str(workdir / "gx.json"), "--seed", "0",
+             str(workdir / "gx.json"),
              "--out", str(workdir / "o")])
     assert r.exit_code == 3
     assert "data error" in r.output
@@ -163,7 +164,7 @@ def test_naive_bayes_missing_class_is_config_error(workdir, data_dir):
 
 def _discretize_args(workdir, data, *extra):
     return ["discretize", "--data", str(data), "--schema", str(workdir / "schema.json"),
-            "--structure", str(workdir / "g.json"), "--seed", "0",
+            "--structure", str(workdir / "g.json"),
             "--out", str(workdir / "o"), *extra]
 
 
@@ -203,6 +204,14 @@ def test_duplicate_schema_column_is_data_error(workdir):
              "--seed", "0", "--restarts", "1", "--out", str(workdir / "o")])
     assert r.exit_code == 3
     assert "data error" in r.output and "column 'x' is listed twice" in r.output
+
+
+def test_discretize_takes_no_seed(workdir):
+    # discretize draws nothing at random, so a seed would be ignored
+    r = run(_discretize_args(workdir, workdir / "d.csv", "--seed", "0"))
+    assert r.exit_code == 2
+    assert "No such option" in r.output and "--seed" in r.output
+    assert not (workdir / "o").exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--k", "0")])
@@ -252,10 +261,11 @@ def test_evaluate_joint_uniform_is_config_error(workdir):
 def test_bad_structure_is_config_error(workdir, text, names):
     bad = workdir / "bad_structure.json"
     bad.write_text(text)
-    for cmd in (["discretize"], ["evaluate", "--method", "bayes", "--folds", "2"]):
+    for cmd in (["discretize"],
+                ["evaluate", "--method", "bayes", "--folds", "2", "--seed", "0"]):
         r = run([*cmd, "--data", str(workdir / "d.csv"),
                  "--schema", str(workdir / "schema.json"),
-                 "--structure", str(bad), "--seed", "0",
+                 "--structure", str(bad),
                  "--out", str(workdir / "o")])
         assert r.exit_code == 2, r.output
         assert "config error" in r.output

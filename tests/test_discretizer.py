@@ -130,6 +130,22 @@ def test_mdl_penalty_k1():
     assert mdl_penalty(1, col.m, ctx) == pytest.approx(expected)
 
 
+def test_layer_penalties_equal_mdl_penalty_bit_for_bit():
+    # mdl_dp takes the penalty of every layer from _penalties
+    for n, (a, b), m in itertools.product([1, 2, 150, 3000],
+                                          [(1, 1), (3, 3), (7, 3), (40, 9)],
+                                          [1, 2, 3, 10, 127]):
+        got = discretizer._penalties(m, n, a, b)
+        assert len(got) == m
+        for k in range(1, m + 1):  # k = 1 and k = m included
+            assert got[k - 1].hex() == discretizer._penalty(k, m, n, a, b).hex()
+    d_star, g, col = random_instance(1)
+    ctx = build_context(d_star, g, "X", col)
+    got = discretizer._penalties(col.m, ctx.n, *discretizer._param_counts(ctx))
+    assert [p.hex() for p in got] == [mdl_penalty(k, col.m, ctx).hex()
+                                      for k in range(1, col.m + 1)]
+
+
 def test_dispatcher_rejects_unknown_method():
     d_star, g, col = random_instance(0)
     with pytest.raises(ValidationError):

@@ -208,10 +208,15 @@ def _mdl_h_matrix_reference(ctx, col):
     return _kernel_matrix_reference(ctx, col, block_term)
 
 
+def _assert_bytes_equal(got, want):
+    # byte equality, unlike np.array_equal, also tells -0.0 from +0.0
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _assert_kernels_match_reference(d_star, g, col):
     ctx = build_context(d_star, g, "X", col)
-    assert np.array_equal(h_matrix(ctx, col), _h_matrix_reference(ctx, col))
-    assert np.array_equal(mdl_h_matrix(ctx, col), _mdl_h_matrix_reference(ctx, col))
+    _assert_bytes_equal(h_matrix(ctx, col), _h_matrix_reference(ctx, col))
+    _assert_bytes_equal(mdl_h_matrix(ctx, col), _mdl_h_matrix_reference(ctx, col))
 
 
 def test_kernels_match_reference_loop_exactly():
@@ -238,7 +243,7 @@ def test_mdl_kernel_matches_reference_when_one_configuration_holds_every_row():
     d_star, g, col = blanket_instance(300, 0)
     ones = {name: np.ones(col.n, dtype=np.int64) for name in d_star.columns}
     ctx = build_context(DiscreteDataset(ones, d_star.cardinalities), g, "X", col)
-    assert np.array_equal(mdl_h_matrix(ctx, col), _mdl_h_matrix_reference(ctx, col))
+    _assert_bytes_equal(mdl_h_matrix(ctx, col), _mdl_h_matrix_reference(ctx, col))
 
 
 @pytest.mark.parametrize("budget", [1, 7, 40])
