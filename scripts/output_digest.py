@@ -13,11 +13,13 @@ generator of ``tests/synthetic.py`` at n = 300, 700 and 2000, and the
 of the methods bayes and mdl.  The K2 digest covers ``k2_multi_restart``
 (graph with its edges in insertion order, score and restart) with 1000
 restarts on the equal-width k=3 images of Wine and Iris, seeds 0-4;
-``k2_pass`` and 4-restart ``k2_multi_restart`` on ``random_discrete`` seeds
-0-299 with ``max_parents`` None, 0, 1 and 2; and the JSON of 3-restart
-``multi_restart`` on ``random_mixed`` seeds 0-59.  The reference digest covers
-``mdl_interval_term`` on every boundary interval, and ``mdl_objective`` and
-``objective`` of ``random_policy``, on ``random_instance`` seeds 0-999; and
+``k2_pass`` (the JSON of the graph on its order's nodes, with the data's
+cardinalities and the edges it returns) and 4-restart ``k2_multi_restart``
+on ``random_discrete`` seeds 0-299 with ``max_parents`` None, 0, 1 and 2;
+and the JSON of 3-restart ``multi_restart`` on ``random_mixed`` seeds 0-59.
+The reference digest covers ``mdl_interval_term`` on every boundary
+interval, and ``mdl_objective`` and ``objective`` of ``random_policy``, on
+``random_instance`` seeds 0-999; and
 ``family_score`` of every family with up to two parents on
 ``random_discrete`` seeds 0-299.  The evaluation digest covers
 fixed-structure ``cross_validate`` with bayes, mdl and uniform (5 folds,
@@ -51,6 +53,7 @@ from dvbn.counts import build_context  # noqa: E402
 from dvbn.evaluation import cross_validate, naive_bayes_protocol  # noqa: E402
 from dvbn.dataset import load_csv, load_schema, sorted_column, sorted_view  # noqa: E402
 from dvbn.discretizer import bayes_dp, mdl_dp, mdl_objective  # noqa: E402
+from dvbn.graph import Dag  # noqa: E402
 from dvbn.multivar import apply_policies, discretize_all  # noqa: E402
 from dvbn.policy import equal_width  # noqa: E402
 from dvbn.scoring import h_matrix, mdl_h_matrix, mdl_interval_term, objective  # noqa: E402
@@ -120,7 +123,9 @@ def k2_outputs():
         for max_parents in (None, 0, 1, 2):
             g, score, restart = k2_multi_restart(d, 4, seed, max_parents)
             yield (f"random_discrete {seed} {max_parents}",
-                   k2_pass(d, order, max_parents).to_json(), g.to_json(), score, restart)
+                   Dag({x: d.cardinalities[x] for x in order},
+                       k2_pass(d, order, max_parents)[0]).to_json(),
+                   g.to_json(), score, restart)
     for seed in range(60):
         d, _ = random_mixed(seed)
         yield f"random_mixed {seed}", multi_restart(d, 3, seed).to_json()

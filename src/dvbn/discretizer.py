@@ -92,12 +92,6 @@ def _edges_from_back(back: list[int], col: SortedColumn) -> tuple[float, ...]:
 # MDL baseline
 # ---------------------------------------------------------------------------
 
-def _binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -p * math.log(p) - (1 - p) * math.log(1 - p)
-
-
 def _param_counts(ctx: NeighborContext) -> tuple[int, int]:
     """The exact integers ``(a, b)`` such that a policy with k intervals has
     ``a·k − b`` free parameters in ``x``'s family and its children's."""
@@ -105,17 +99,10 @@ def _param_counts(ctx: NeighborContext) -> tuple[int, int]:
     return q + sum(blk.j_cond * (blk.j - 1) for blk in ctx.blocks[1:]), q
 
 
-def _penalty(k: int, m: int, n: int, a: int, b: int) -> float:
-    total = 0.5 * math.log(n) * (a * k - b) + math.log(k)
-    if m > 1:
-        total += (m - 1) * _binary_entropy((k - 1) / (m - 1))
-    return total
-
-
 def _penalties(m: int, n: int, a: int, b: int) -> list[float]:
-    """``_penalty(k, m, n, a, b)`` for k = 1..m by the same operations, with
-    ``0.5·ln n`` taken once and the entropy inline; adding its 0 at k = 1 and
-    k = m would leave the total, which is never -0.0, as it is."""
+    """The k-dependent MDL terms for k = 1..m: ``0.5·ln n·(a·k − b) + ln k``
+    plus ``(m − 1)·H((k − 1)/(m − 1))``, H the binary entropy in nats, which
+    is 0 at k = 1 and k = m and is left out there."""
     half_log_n, out = 0.5 * math.log(n), []
     for k in range(1, m + 1):
         out.append(half_log_n * (a * k - b) + math.log(k))
@@ -127,7 +114,7 @@ def _penalties(m: int, n: int, a: int, b: int) -> list[float]:
 
 def mdl_penalty(k: int, m: int, ctx: NeighborContext) -> float:
     """Terms of the MDL objective that depend only on the interval count."""
-    return _penalty(k, m, ctx.n, *_param_counts(ctx))
+    return _penalties(m, ctx.n, *_param_counts(ctx))[k - 1]
 
 
 def mdl_objective(policy: DiscretizationPolicy, col: SortedColumn,

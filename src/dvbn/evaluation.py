@@ -28,23 +28,21 @@ class TrainedModel:
 
     parents: dict[str, tuple[str, ...]]
     beta: dict[str, np.ndarray]        # (q_i, r_i) observed training counts
-    cardinalities: dict[str, int]
 
     def log_table(self, x: str) -> np.ndarray:
         """``(q, r)`` smoothed log CPT of ``x``: ln((1+β)/(r+β₀)), where
         α = 1 and β₀ sums β over x's values."""
         b = self.beta[x]
-        return np.log(1.0 + b) - np.log(self.cardinalities[x] + b.sum(axis=1))[:, None]
+        return np.log(1.0 + b) - np.log(b.shape[1] + b.sum(axis=1))[:, None]
 
 
 def fit_parameters(d_star: DiscreteDataset, g: Dag) -> TrainedModel:
-    parents, beta, cards = {}, {}, {}
+    parents, beta = {}, {}
     for x in g.nodes:
         pa = tuple(sorted(g.parents(x)))
         beta[x] = family_counts(d_star, x, pa)
         parents[x] = pa
-        cards[x] = d_star.cardinalities[x]
-    return TrainedModel(parents, beta, cards)
+    return TrainedModel(parents, beta)
 
 
 def loglik_discrete(model: TrainedModel, d_star_test: DiscreteDataset) -> float:
@@ -53,13 +51,13 @@ def loglik_discrete(model: TrainedModel, d_star_test: DiscreteDataset) -> float:
         return 0.0
     total = 0.0
     for x in model.beta:
-        r = model.cardinalities[x]
+        r = model.beta[x].shape[1]
         col = d_star_test.columns[x]
         if np.any(col < 1) or np.any(col > r):
             raise ValidationError(f"test column {x!r} outside 1..{r}")
         pa = model.parents[x]
         codes, _ = joint_codes([d_star_test.columns[p] for p in pa],
-                               [model.cardinalities[p] for p in pa], d_star_test.n_rows)
+                               [model.beta[p].shape[1] for p in pa], d_star_test.n_rows)
         total += float(model.log_table(x)[codes, col - 1].sum())
     return total
 
@@ -171,12 +169,9 @@ def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
 # ---------------------------------------------------------------------------
 
 def naive_bayes_structure(d: MixedDataset, class_var: str) -> Dag:
-    g = Dag({v.name: (v.cardinality if v.kind == "discrete" else None)
-             for v in d.variables})
-    for v in d.variables:
-        if v.name != class_var:
-            g = g.add_edge(class_var, v.name)
-    return g
+    return Dag({v.name: (v.cardinality if v.kind == "discrete" else None)
+                for v in d.variables},
+               [(class_var, name) for name in d.names if name != class_var])
 
 
 def _nb_predict(model: TrainedModel, d_star_test: DiscreteDataset,

@@ -60,22 +60,7 @@ class Dag:
 
     def add_edge(self, parent: str, child: str) -> "Dag":
         """Return a new Dag with the edge added; raises on cycles/duplicates."""
-        return self.add_edges([(parent, child)])
-
-    def add_edges(self, edges) -> "Dag":
-        """Return a new Dag with ``(parent, child)`` edges added in order."""
-        g = self.copy()
-        for parent, child in edges:
-            g._insert(parent, child)
-        return g
-
-    def copy(self) -> "Dag":
-        g = Dag.__new__(Dag)
-        g._cards = dict(self._cards)
-        g._edges = list(self._edges)
-        g._parents = {k: list(v) for k, v in self._parents.items()}
-        g._children = {k: list(v) for k, v in self._children.items()}
-        return g
+        return Dag(self._cards, self._edges + [(parent, child)])
 
     # -- queries ----------------------------------------------------------
 

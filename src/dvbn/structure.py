@@ -58,7 +58,7 @@ def _ranking(x: str, parents: tuple, d_star: DiscreteDataset, cache: dict) -> li
 
 def k2_pass(d_star: DiscreteDataset, order: list[str],
             max_parents: int | None = None, cache: dict | None = None,
-            on_accept=None) -> Dag:
+            on_accept=None) -> tuple[list[tuple[str, str]], float]:
     """Greedy K2 over a fixed ordering: each node takes the best-scoring
     predecessor repeatedly while the family score strictly improves.
 
@@ -69,18 +69,19 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
     ties to the larger name.  Rankings do not depend on the order, so the
     restarts of :func:`k2_multi_restart` share them.
 
-    The result has the nodes of ``order`` with ``d_star``'s cardinalities and
-    the accepted edges in acceptance order.  With ``on_accept``, each accepted
-    edge is reported at once: ``on_accept(g)`` gets the graph of the edges
-    accepted so far and returns the discretized data to continue on; the
-    cache, rankings included, is then cleared and the node's family rescored
-    on the new data.
+    Returns the accepted edges in acceptance order and the sum over ``order``
+    of each node's last family score, which without ``on_accept`` is bit for
+    bit the :func:`network_score` of the graph with those edges.  With
+    ``on_accept``, each accepted edge is reported at once: ``on_accept(edges)``
+    gets the edges accepted so far and returns the discretized data to
+    continue on; the cache, rankings included, is then cleared and the node's
+    family rescored on the new data.
     """
     if cache is None:
         cache = {}
-    g = Dag({x: d_star.cardinalities[x] for x in order})
-    accepted: list[tuple[str, str]] = []
+    edges: list[tuple[str, str]] = []
     before: set[str] = set()
+    score = 0
     for x in order:
         pa: tuple[str, ...] = ()
         p_old = family_score(x, pa, d_star, cache)
@@ -91,13 +92,14 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
                 break
             p_old, y = best
             pa = tuple(sorted(pa + (y,)))
-            accepted.append((y, x))
+            edges.append((y, x))
             if on_accept is not None:
-                d_star = on_accept(g.add_edges(accepted))
+                d_star = on_accept(list(edges))
                 cache.clear()
                 p_old = family_score(x, pa, d_star, cache)
+        score += p_old
         before.add(x)
-    return g.add_edges(accepted)
+    return edges, score
 
 
 @dataclass
@@ -140,8 +142,9 @@ def learn_dvbn(d: MixedDataset, order: list[str],
     pset = PolicySet(start, 0, True)
     d_star = apply_policies(d, start)
 
-    def rediscretize(g: Dag) -> DiscreteDataset:
+    def rediscretize(edges) -> DiscreteDataset:
         nonlocal pset, d_star
+        g = Dag(d.names, edges)
         linked = [v for v in d.variables
                   if v.kind == "discrete" or g.markov_blanket(v.name)]
         d_linked = MixedDataset(linked, {v.name: d.columns[v.name] for v in linked})
@@ -151,9 +154,9 @@ def learn_dvbn(d: MixedDataset, order: list[str],
         return d_star
 
     cache: dict = {}
-    g = k2_pass(d_star, order, max_parents=max_parents, cache=cache,
-                on_accept=rediscretize if start else None)
-    g = Dag(dict(d_star.cardinalities), g.edges)
+    edges, _ = k2_pass(d_star, order, max_parents=max_parents, cache=cache,
+                       on_accept=rediscretize if start else None)
+    g = Dag(dict(d_star.cardinalities), edges)
     return LearnResult(g, pset, network_score(g, d_star, cache), restart_seed)
 
 
@@ -177,9 +180,12 @@ def multi_restart(d: MixedDataset, n_restarts: int, seed: int,
 def k2_multi_restart(d_star: DiscreteDataset, n_restarts: int, seed: int,
                      max_parents: int | None = None) -> tuple[Dag, float, int]:
     """Plain K2 restarts on already-discrete data with a shared score cache;
-    the best ``(graph, score, restart)``, ties to the earliest restart."""
+    the best ``(graph, score, restart)``, ties to the earliest restart.  Only
+    the best restart's graph is built."""
     cache: dict = {}
-    graphs = (k2_pass(d_star, order, max_parents=max_parents, cache=cache)
-              for order in _random_orders(list(d_star.columns), n_restarts, seed))
-    return max(((g, network_score(g, d_star, cache), r) for r, g in enumerate(graphs)),
-               key=lambda t: t[1])
+    orders = _random_orders(list(d_star.columns), n_restarts, seed)
+    (edges, score), r = max(((k2_pass(d_star, order, max_parents=max_parents,
+                                      cache=cache), r)
+                             for r, order in enumerate(orders)),
+                            key=lambda t: t[0][1])
+    return Dag({x: d_star.cardinalities[x] for x in orders[r]}, edges), score, r

@@ -242,7 +242,8 @@ def test_criterion_8d_k2_score_monotonicity():
             cards[name] = card
         d_star = DiscreteDataset(cols, cards)
         order = [["a", "b", "c"][i] for i in rng.permutation(3)]
-        g = k2_pass(d_star, order)
+        edges, _ = k2_pass(d_star, order)
+        g = Dag(cards, edges)
         for x in g.nodes:
             pa = g.parents(x)
             if pa:

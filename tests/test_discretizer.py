@@ -131,14 +131,24 @@ def test_mdl_penalty_k1():
 
 
 def test_layer_penalties_equal_mdl_penalty_bit_for_bit():
-    # mdl_dp takes the penalty of every layer from _penalties
+    # mdl_dp takes the penalty of every layer from _penalties; the reference
+    # is the penalty of one k by its scalar formula, the binary entropy 0 at
+    # p = 0 and p = 1
+    def penalty(k, m, n, a, b):
+        total = 0.5 * math.log(n) * (a * k - b) + math.log(k)
+        if m > 1:
+            p = (k - 1) / (m - 1)
+            h = -p * math.log(p) - (1 - p) * math.log(1 - p) if 0.0 < p < 1.0 else 0.0
+            total += (m - 1) * h
+        return total
+
     for n, (a, b), m in itertools.product([1, 2, 150, 3000],
                                           [(1, 1), (3, 3), (7, 3), (40, 9)],
                                           [1, 2, 3, 10, 127]):
         got = discretizer._penalties(m, n, a, b)
         assert len(got) == m
         for k in range(1, m + 1):  # k = 1 and k = m included
-            assert got[k - 1].hex() == discretizer._penalty(k, m, n, a, b).hex()
+            assert got[k - 1].hex() == penalty(k, m, n, a, b).hex()
     d_star, g, col = random_instance(1)
     ctx = build_context(d_star, g, "X", col)
     got = discretizer._penalties(col.m, ctx.n, *discretizer._param_counts(ctx))

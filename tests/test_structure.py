@@ -43,7 +43,8 @@ def test_family_score_cache_hit():
 
 def test_k2_finds_strong_dependency():
     d = tiny_discrete()
-    g = k2_pass(d, ["a", "b", "c"])
+    edges, _ = k2_pass(d, ["a", "b", "c"])
+    g = Dag(d.cardinalities, edges)
     assert ("a", "b") in g.edges
     # every accepted parent set beats the empty one
     for x in g.nodes:
@@ -54,10 +55,10 @@ def test_k2_finds_strong_dependency():
 
 def test_k2_respects_order_and_parent_cap():
     d = tiny_discrete()
-    g = k2_pass(d, ["b", "a", "c"])
-    assert ("a", "b") not in g.edges  # a comes after b in the order
-    g2 = k2_pass(d, ["a", "c", "b"], max_parents=0)
-    assert g2.edges == []
+    edges, _ = k2_pass(d, ["b", "a", "c"])
+    assert ("a", "b") not in edges  # a comes after b in the order
+    edges2, _ = k2_pass(d, ["a", "c", "b"], max_parents=0)
+    assert edges2 == []
 
 
 def test_network_score_decomposes():
@@ -121,7 +122,8 @@ def test_multi_restart_deterministic_and_best():
 def _k2_pass_reference(d_star, order, max_parents=None, cache=None,
                        on_accept=None):
     """The greedy loop before per-family rankings: every step re-scores each
-    remaining predecessor and takes the max of (score, name)."""
+    remaining predecessor and takes the max of (score, name).  Builds the
+    graph edge by edge and reads its score back through network_score."""
     g = Dag({x: d_star.cardinalities[x] for x in order})
     for i, x in enumerate(order):
         pa = []
@@ -139,11 +141,11 @@ def _k2_pass_reference(d_star, order, max_parents=None, cache=None,
             if on_accept is None:
                 p_old = best_score
             else:
-                d_star = on_accept(g)
+                d_star = on_accept(g.edges)
                 if cache is not None:
                     cache.clear()
                 p_old = family_score(x, pa, d_star, cache)
-    return g
+    return g.edges, network_score(g, d_star, cache)
 
 
 @pytest.mark.parametrize("max_parents", [None, 0, 1, 2])
@@ -154,15 +156,24 @@ def test_k2_matches_reference_loop_exactly(monkeypatch, max_parents):
                  np.random.default_rng(seed).permutation(len(d.columns))]
         want = _k2_pass_reference(d, order, max_parents)
         for cache in (None, {}):
-            g = k2_pass(d, order, max_parents, cache=cache)
-            assert g.edges == want.edges, seed
-            assert g.to_json() == want.to_json(), seed
+            assert k2_pass(d, order, max_parents, cache=cache) == want, seed
         got = k2_multi_restart(d, 4, seed=seed, max_parents=max_parents)
         with monkeypatch.context() as m:
             m.setattr(structure, "k2_pass", _k2_pass_reference)
             ref = k2_multi_restart(d, 4, seed=seed, max_parents=max_parents)
         assert got[1:] == ref[1:], seed
         assert got[0] == ref[0] and got[0].edges == ref[0].edges, seed
+
+
+@pytest.mark.parametrize("max_parents", [None, 0, 1, 2])
+def test_k2_pass_score_is_network_score_bit_for_bit(max_parents):
+    for seed in range(300):
+        d = random_discrete(seed)
+        order = [list(d.columns)[i] for i in
+                 np.random.default_rng(seed).permutation(len(d.columns))]
+        edges, score = k2_pass(d, order, max_parents)
+        g = Dag({x: d.cardinalities[x] for x in order}, edges)
+        assert score.hex() == network_score(g, d).hex(), seed
 
 
 def test_k2_ties_go_to_the_larger_name():
@@ -174,8 +185,9 @@ def test_k2_ties_go_to_the_larger_name():
     assert family_score("x", ["a"], d) == family_score("x", ["b"], d)
     for order in (["a", "b", "x"], ["b", "a", "x"]):
         for max_parents in (None, 1):
-            assert k2_pass(d, order, max_parents).parents("x") == ["b"]
-            assert _k2_pass_reference(d, order, max_parents).parents("x") == ["b"]
+            for k2 in (k2_pass, _k2_pass_reference):
+                edges, _ = k2(d, order, max_parents)
+                assert Dag(d.cardinalities, edges).parents("x") == ["b"]
 
 
 def test_joint_learn_matches_reference_loop_exactly(monkeypatch):
