@@ -5,12 +5,12 @@ learning's, to show that a change leaves every output bit-identical.
     python3 scripts/output_digest.py
 
 Run it on two checkouts and compare the digests.  The solver digest covers
-``h_matrix``,
-``mdl_h_matrix``, ``bayes_dp`` ``(S, back, W)`` and ``mdl_dp`` ``(edges,
-total, per_k)`` on ``random_instance`` seeds 0-999 and on the synthetic
-generator of ``tests/synthetic.py`` at n = 300, 700 and 2000, and the
-``PolicySet`` of ``discretize_all`` on ``random_mixed`` seeds 0-299 with each
-of the methods bayes and mdl.  The K2 digest covers ``k2_multi_restart``
+``h_matrix``, ``mdl_h_matrix``, ``bayes_dp``'s ``(S, back, W)`` (its result
+after the edges) and ``mdl_dp`` ``(edges, total, per_k)`` on
+``random_instance`` seeds 0-999 and on the synthetic generator of
+``tests/synthetic.py`` at n = 300, 700 and 2000, and the ``PolicySet`` of
+``discretize_all`` on ``random_mixed`` seeds 0-299 with each of the methods
+bayes and mdl.  The K2 digest covers ``k2_multi_restart``
 (graph with its edges in insertion order, score and restart) with 1000
 restarts on the equal-width k=3 images of Wine and Iris, seeds 0-4;
 ``k2_pass`` (the JSON of the graph on its order's nodes, with the data's
@@ -39,6 +39,7 @@ of that.
 import hashlib
 import itertools
 import os
+import re
 import sys
 import warnings
 
@@ -54,7 +55,7 @@ from dvbn.evaluation import cross_validate, naive_bayes_protocol  # noqa: E402
 from dvbn.dataset import load_csv, load_schema, sorted_column, sorted_view  # noqa: E402
 from dvbn.discretizer import bayes_dp, mdl_dp, mdl_objective  # noqa: E402
 from dvbn.graph import Dag  # noqa: E402
-from dvbn.multivar import apply_policies, discretize_all  # noqa: E402
+from dvbn.multivar import NOT_CONVERGED, apply_policies, discretize_all  # noqa: E402
 from dvbn.policy import equal_width  # noqa: E402
 from dvbn.scoring import h_matrix, mdl_h_matrix, mdl_interval_term, objective  # noqa: E402
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,  # noqa: E402
@@ -67,8 +68,8 @@ def solver_outputs(d_star, g, col):
     """The two kernels and both DPs' results for target ``X``."""
     ctx = build_context(d_star, g, "X", col)
     hm, hmdl = h_matrix(ctx, col), mdl_h_matrix(ctx, col)
-    dp = bayes_dp(col, hm, ctx.L)
-    return hm, hmdl, repr((dp.S, dp.back, dp.W)), repr(mdl_dp(col, hmdl, ctx))
+    return (hm, hmdl, repr(bayes_dp(col, hm, ctx.L)[1:]),
+            repr(mdl_dp(col, hmdl, ctx)))
 
 
 def instances():
@@ -90,8 +91,6 @@ def solver_digest() -> str:
                 digest.update(repr(out.shape).encode() + out.tobytes())
             else:
                 digest.update(out.encode())
-    # a few seeds cycle without converging; their PolicySet records it
-    warnings.filterwarnings("ignore", "discretization did not converge")
     for seed in range(300):
         d, g = random_mixed(seed)
         for method in ("bayes", "mdl"):
@@ -132,7 +131,6 @@ def k2_outputs():
 
 
 def k2_digest() -> str:
-    warnings.filterwarnings("ignore", "discretization did not converge")
     digest = hashlib.sha256()
     for out in k2_outputs():
         digest.update(repr(out).encode())
@@ -183,7 +181,6 @@ def evaluation_outputs():
 
 
 def evaluation_digest() -> str:
-    warnings.filterwarnings("ignore", "discretization did not converge")
     digest = hashlib.sha256()
     for out in evaluation_outputs():
         digest.update(repr(out).encode())
@@ -201,7 +198,6 @@ def joint_outputs():
 
 
 def joint_digest() -> str:
-    warnings.filterwarnings("ignore", "discretization did not converge")
     digest = hashlib.sha256()
     for out in joint_outputs():
         digest.update(repr(out).encode())
@@ -209,6 +205,8 @@ def joint_digest() -> str:
 
 
 def main() -> None:
+    # a few solves cycle without converging; their PolicySet records it
+    warnings.filterwarnings("ignore", re.escape(f"discretization {NOT_CONVERGED}"))
     print("solvers", solver_digest())
     print("k2", k2_digest())
     print("reference", reference_digest())

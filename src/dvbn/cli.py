@@ -12,12 +12,13 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import click
 from click.core import ParameterSource
 
 from .dataset import MixedDataset, load_csv, load_schema
-from .errors import ConfigError, DataError, DvbnError
+from .errors import ConfigError, DvbnError
 from .evaluation import (CvReport, cross_validate, naive_bayes_protocol,
                          train_policies)
 from .graph import Dag
@@ -28,17 +29,25 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 
+def _echo_warning(message, *_):
+    click.echo(f"warning: {message}", err=True)
+
+
 def _handle_errors(fn):
+    """Run a command under the exit-code contract, printing each library
+    warning as one ``warning: <message>`` line."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as e:
-            click.echo(f"config error: {e}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except (DataError, DvbnError) as e:
-            click.echo(f"data error: {e}", err=True)
-            sys.exit(EXIT_DATA)
+        with warnings.catch_warnings():
+            warnings.showwarning = _echo_warning
+            try:
+                return fn(*args, **kwargs)
+            except ConfigError as e:
+                click.echo(f"config error: {e}", err=True)
+                sys.exit(EXIT_CONFIG)
+            except DvbnError as e:
+                click.echo(f"data error: {e}", err=True)
+                sys.exit(EXIT_DATA)
     return wrapper
 
 
@@ -121,7 +130,6 @@ def discretize(data, schema, structure, method, k, out):
                "passes": pset.pass_count}
     if not pset.converged:
         summary["warning"] = NOT_CONVERGED
-        click.echo(f"warning: {NOT_CONVERGED}", err=True)
     _write(out, "discretize_summary.json", json.dumps(summary, indent=2))
     click.echo(f"wrote {len(pset.policies)} policies to {out}")
 

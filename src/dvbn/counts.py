@@ -90,8 +90,7 @@ def build_context(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn) ->
         cond, j_cond = joint_codes(
             [_checked_column(d_star, s, perm) for s in names], [cards[s] for s in names], n)
         blocks.append(Block(value, cards[child], cond, j_cond, cond + value * j_cond))
-    blanket = set(parents).union(children, *spouses)
-    return NeighborContext(n, blocks, max((cards[b] for b in blanket), default=2))
+    return NeighborContext(n, blocks, max((cards[b] for b in g.markov_blanket(x)), default=2))
 
 
 def interval_counts(ctx: NeighborContext, a: int, b: int) -> list[np.ndarray]:

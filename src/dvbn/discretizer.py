@@ -8,7 +8,6 @@ the MDL baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,24 +20,19 @@ from .scoring import (BLOCK_ELEMENTS, check_dense_budget, h_matrix, mdl_h_matrix
                       mdl_interval_term, neg_log1m_exp)
 
 
-@dataclass
-class DpState:
-    """Bayesian DP internals, kept around for substructure checks."""
-
-    S: list[float]        # S[v]: best objective over rows 1..s_v (S[0] unused)
-    back: list[int]       # back[v]: split boundary u, 0 = single interval
-    W: list[float]        # W[v]: edge penalty after unique v (W[m] = 0)
-
-
 def _policy(col: SortedColumn, edges: tuple[float, ...] = ()) -> DiscretizationPolicy:
     return DiscretizationPolicy(edges, float(col.values[0]), float(col.values[-1]))
 
 
-def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int) -> DpState:
+def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int):
     """Optimal-prefix recursion over unique-value boundaries.
 
     ``hm[u, v-1]`` must hold the interval kernel over rows ``s_u+1..s_v``.
-    Ties prefer the larger split index (fewer, later edges).
+    Returns ``(edges, S, back, W)``: the optimal policy's edges, ``S[v]`` the
+    best objective over rows ``1..s_v`` (``S[0] = 0``), ``back[v]`` its last
+    split boundary u (0 = a single interval) and ``W[v]`` the edge penalty
+    after unique v (``W[m] = 0``).  Ties prefer the larger split index
+    (fewer, later edges).
 
     Ends v are taken in column blocks of about :data:`BLOCK_ELEMENTS`
     candidates.  A block forms every ``(W[v] + hm[u, v-1]) + Lr·(u_v - u_u)``
@@ -74,7 +68,7 @@ def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int) -> DpState:
             t = int(c.argmin())
             rS[m - v] = c[t]
             back[v] = v - 1 - t
-    return DpState(rS[::-1].tolist(), back, W)
+    return _edges_from_back(back, col), rS[::-1].tolist(), back, W
 
 
 def _edges_from_back(back: list[int], col: SortedColumn) -> tuple[float, ...]:
@@ -232,7 +226,5 @@ def discretize_one(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn,
         return _policy(col)
     ctx = build_context(d_star, g, x, col)
     if method == "bayes":
-        dp = bayes_dp(col, h_matrix(ctx, col), ctx.L)
-        return _policy(col, _edges_from_back(dp.back, col))
-    edges, _, _ = mdl_dp(col, mdl_h_matrix(ctx, col), ctx)
-    return _policy(col, edges)
+        return _policy(col, bayes_dp(col, h_matrix(ctx, col), ctx.L)[0])
+    return _policy(col, mdl_dp(col, mdl_h_matrix(ctx, col), ctx)[0])

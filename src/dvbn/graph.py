@@ -18,10 +18,8 @@ from .errors import CycleError, ValidationError
 
 
 class Dag:
-    def __init__(self, nodes: dict[str, int | None] | list | None = None,
+    def __init__(self, nodes: dict[str, int | None] | list,
                  edges: list[tuple[str, str]] | None = None):
-        if nodes is None:
-            nodes = {}
         if isinstance(nodes, list):
             nodes = {n: None for n in nodes}
         self._cards: dict[str, int | None] = dict(nodes)
@@ -75,9 +73,6 @@ class Dag:
     def parents(self, x: str) -> list[str]:
         return list(self._parents[x])
 
-    def children(self, x: str) -> list[str]:
-        return list(self._children[x])
-
     def neighbors_for_discretization(self, x: str):
         """(parents, children, spouse set per child), children in insertion order."""
         if x not in self._cards:
@@ -89,10 +84,7 @@ class Dag:
 
     def markov_blanket(self, x: str) -> set[str]:
         parents, children, spouses = self.neighbors_for_discretization(x)
-        blanket = set(parents) | set(children)
-        for s in spouses:
-            blanket |= s
-        return blanket
+        return parents.union(children, *spouses)
 
     def markov_blanket_max_cardinality(self, x: str) -> int:
         """Largest cardinality among blanket members that currently have one.

@@ -31,9 +31,6 @@ class DiscretizationPolicy:
     def k(self) -> int:
         return len(self.edges) + 1
 
-    def apply(self, x: float) -> int:
-        return int(np.searchsorted(self.edges, x, side="right")) + 1
-
     def apply_array(self, xs: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.edges, xs, side="right").astype(np.int64) + 1
 
@@ -112,8 +109,6 @@ def equal_width(col: SortedColumn, k: int) -> DiscretizationPolicy:
     edges = []
     for e in raw:
         if np.any(col.values == e):
-            if len(mids) == 0:
-                continue
             e = float(mids[np.argmin(np.abs(mids - e))])
         if lo < e < hi and (not edges or e > edges[-1]):
             edges.append(e)

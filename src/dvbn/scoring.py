@@ -234,11 +234,11 @@ def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.nd
     :func:`h_matrix`, over the blocks of ``ctx`` (see :mod:`dvbn.counts`):
     the joint parent configuration under a single condition, then each child
     given its spouses.  For a block of ``j`` values, ``block_term(value, j)``
-    gives ``term(c_cell, c_cond, a, before)``: the terms of rows ``a+1..n``,
-    one row per boundary, from the counts of each row's (value, condition)
-    cell and condition among the interval's earlier rows.  Counts arrive raw:
-    rows before a boundary's interval, marked in ``before``, have counts in
-    ``-n..-1`` and must get the term +0.0.  Blocks of one value add nothing.
+    gives ``term(c_cell, c_cond, a)``: the terms of rows ``a+1..n``, one row
+    per boundary, from the counts of each row's (value, condition) cell and
+    condition among the interval's earlier rows.  Counts arrive raw: a row
+    before a boundary's interval has both counts in ``-n..-1`` and must get
+    the term +0.0.  Blocks of one value add nothing.
 
     Split boundaries are taken in row blocks of about :data:`BLOCK_ELEMENTS`
     terms, and each block's prefix sums over a row block are added into the
@@ -258,14 +258,13 @@ def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.nd
         u2 = min(m, u1 + max(1, BLOCK_ELEMENTS // (n - a1)))
         # a single condition's counts: the rows since each boundary's first
         since = np.arange(n - a1) - (a[u1:u2, None] - a1)
-        before = since < 0
         # entries with v <= u gather a zero prefix sum and stay 0; with every
         # value unique (m == n) the gather is the identity
         idx = None if m == n else s[u1:] - 1 - a1
         out = hm[u1:u2, u1:]
         for term, cell_counts, cond_counts in blocks:
             c_cond = since if cond_counts is None else cond_counts(u1, u2, a1)
-            terms = term(cell_counts(u1, u2, a1), c_cond, a1, before)
+            terms = term(cell_counts(u1, u2, a1), c_cond, a1)
             csum = np.cumsum(terms, axis=1, out=terms)
             out += csum if idx is None else np.take(csum, idx, axis=1)
         u1 = u2
@@ -282,7 +281,7 @@ def h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
         # integers) for the counts c = 0..n-1, then n zeros for -n..-1
         t_cond, t_cell = (np.concatenate((np.log(np.arange(i, n + i)), np.zeros(n)))
                           for i in (j, 1))
-        return lambda c_cell, c_cond, a, before: t_cond[c_cond] - t_cell[c_cell]
+        return lambda c_cell, c_cond, a: t_cond[c_cond] - t_cell[c_cell]
     return _kernel_matrix(ctx, col, block_term)
 
 
@@ -304,7 +303,7 @@ def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
 
     def block_term(value, j):
         log_m = np.log(np.maximum(np.bincount(value, minlength=j), 1))
-        return lambda c_cell, c_cond, a, before: np.where(before, 0.0, -(
+        return lambda c_cell, c_cond, a: np.where(c_cond < 0, 0.0, -(
             phi[c_cell] - log_m[value[a:]] - phi[c_cond] + log_n))
     return _kernel_matrix(ctx, col, block_term)
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import random_mixed
 
 from dvbn.cli import main
 from dvbn.graph import Dag
@@ -127,6 +128,31 @@ def test_package_does_not_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_library_warning_is_printed_once(tmp_path):
+    # random_mixed(79) cycles, so discretize_all warns that it did not
+    # converge; run in a subprocess, as pytest's own capture hides the
+    # warning's default form
+    d, g = random_mixed(79)
+    lines = [",".join(d.names)] + [",".join(str(d.columns[v][i]) for v in d.names)
+                                   for i in range(d.n_rows)]
+    (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "schema.json").write_text(json.dumps({"columns": [
+        {"name": v.name, "kind": v.kind} for v in d.variables]}))
+    (tmp_path / "g.json").write_text(g.to_json())
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    r = subprocess.run(
+        [sys.executable, "-m", "dvbn.cli", "discretize", "--data", str(tmp_path / "d.csv"),
+         "--schema", str(tmp_path / "schema.json"), "--structure", str(tmp_path / "g.json"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert r.returncode == 0, r.stderr
+    summary = json.loads((tmp_path / "out" / "discretize_summary.json").read_text())
+    assert summary["converged"] is False
+    assert r.stderr.count(summary["warning"]) == 1
+    assert r.stderr.startswith("warning: discretization did not converge")
+    assert "UserWarning" not in r.stderr
 
 
 @pytest.mark.parametrize("command", ["learn", "evaluate"])

@@ -191,9 +191,9 @@ def test_returned_objective_is_optimal_substructure():
         d_star, g, col = random_instance(seed, n_max=12, m_max=8)
         ctx = build_context(d_star, g, "X", col)
         hm = h_matrix(ctx, col)
-        dp = bayes_dp(col, hm, ctx.L)
+        _, S, _, _ = bayes_dp(col, hm, ctx.L)
         pol = discretize_one(d_star, g, "X", col, method="bayes")
-        assert dp.S[col.m] == pytest.approx(objective(col, ctx, pol), abs=1e-9)
+        assert S[col.m] == pytest.approx(objective(col, ctx, pol), abs=1e-9)
 
 
 # B is the largest m whose m x m candidates fit in one block
@@ -331,8 +331,7 @@ def _bayes_dp_reference(col: SortedColumn, hm: np.ndarray, L: int):
 def _assert_bayes_dp_matches_reference(d_star, g, col):
     ctx = build_context(d_star, g, "X", col)
     hm = h_matrix(ctx, col)
-    dp = bayes_dp(col, hm, ctx.L)
-    assert (dp.S, dp.back, dp.W) == _bayes_dp_reference(col, hm, ctx.L)
+    assert bayes_dp(col, hm, ctx.L)[1:] == _bayes_dp_reference(col, hm, ctx.L)
 
 
 def test_bayes_dp_matches_reference_loop_exactly():
@@ -372,11 +371,11 @@ def test_bayes_dp_tie_prefers_larger_split():
     hm[1, 1] = -w
     hm[1, 3] = 1.0
     hm[2, 3] = 2.0
-    dp = bayes_dp(col, hm, 3)
-    assert dp.S[1] == dp.S[2] == w
-    assert dp.back[4] == 2 and dp.back[2] == 1
-    assert dp.S[4] == 3.0 + w
-    assert (dp.S, dp.back, dp.W) == _bayes_dp_reference(col, hm, 3)
+    _, S, back, W = bayes_dp(col, hm, 3)
+    assert S[1] == S[2] == w
+    assert back[4] == 2 and back[2] == 1
+    assert S[4] == 3.0 + w
+    assert (S, back, W) == _bayes_dp_reference(col, hm, 3)
 
 
 @pytest.mark.parametrize("method,n", [("bayes", 500), ("bayes", 1000), ("mdl", 500)])

@@ -10,12 +10,15 @@ from dvbn.policy import (DiscretizationPolicy, equal_width, midpoint_candidates,
 def test_apply_case_analysis():
     p = DiscretizationPolicy((1.0, 2.0), 0.0, 3.0)
     assert p.k == 3
-    assert p.apply(0.5) == 1      # below first edge
-    assert p.apply(1.0) == 2      # boundary is left-closed
-    assert p.apply(1.5) == 2
-    assert p.apply(2.0) == 3
-    assert p.apply(-10.0) == 1    # out of range clamps to end intervals
-    assert p.apply(10.0) == 3
+
+    def apply(x):
+        return int(p.apply_array(np.array([x]))[0])
+    assert apply(0.5) == 1      # below first edge
+    assert apply(1.0) == 2      # boundary is left-closed
+    assert apply(1.5) == 2
+    assert apply(2.0) == 3
+    assert apply(-10.0) == 1    # out of range clamps to end intervals
+    assert apply(10.0) == 3
     assert list(p.apply_array(np.array([0.5, 1.0, 2.5]))) == [1, 2, 3]
 
 
