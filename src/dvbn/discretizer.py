@@ -117,8 +117,6 @@ def mdl_objective(policy: DiscretizationPolicy, col: SortedColumn,
     if policy.k > col.m:
         raise ValidationError("more intervals than unique values")
     total = mdl_penalty(policy.k, col.m, ctx)
-    if policy.k == 1:
-        return total + mdl_interval_term(ctx, 1, ctx.n)
     lam, _ = representations(policy, col)
     prev = 0
     for li in lam:
@@ -216,12 +214,17 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     return tuple(reversed(edges)), best_total, per_k
 
 
+def check_method(method: str) -> None:
+    """Raise unless ``method`` names one of the two objectives."""
+    if method not in ("bayes", "mdl"):
+        raise ValidationError(f"unknown discretization method {method!r}")
+
+
 def discretize_one(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn,
                    method: str = "bayes") -> DiscretizationPolicy:
     """Globally optimal policy for ``x`` given its blanket in ``d_star``: the
     Bayesian boundary DP, or the MDL layered DP over all interval counts."""
-    if method not in ("bayes", "mdl"):
-        raise ValidationError(f"unknown discretization method {method!r}")
+    check_method(method)
     if col.m == 1:
         return _policy(col)
     ctx = build_context(d_star, g, x, col)

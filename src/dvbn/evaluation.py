@@ -9,7 +9,7 @@ are normalized by the test row count per fold and averaged over folds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,6 @@ def fit_parameters(d_star: DiscreteDataset, g: Dag) -> TrainedModel:
 
 def loglik_discrete(model: TrainedModel, d_star_test: DiscreteDataset) -> float:
     """Log-likelihood of discretized test rows under the trained network."""
-    if d_star_test.n_rows == 0:
-        return 0.0
     total = 0.0
     for x in model.beta:
         r = model.beta[x].shape[1]
@@ -98,7 +96,7 @@ class CvReport:
     method: str
     folds: list[float]
     seed: int
-    extra: dict = field(default_factory=dict)
+    protocol: str  # "fixed" or "joint"
 
     @property
     def mean(self) -> float:
@@ -107,7 +105,8 @@ class CvReport:
     def to_json(self) -> str:
         return json.dumps({
             "method": self.method, "seed": self.seed, "n_folds": len(self.folds),
-            "fold_loglik_per_sample": self.folds, "mean": self.mean, **self.extra,
+            "fold_loglik_per_sample": self.folds, "mean": self.mean,
+            "folds_protocol": self.protocol,
         }, indent=2)
 
     def csv_rows(self) -> list[dict]:
@@ -146,8 +145,6 @@ def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
     graph; otherwise structure and policies are learned jointly per fold,
     which ``method="uniform"`` does not support.
     """
-    if method not in ("bayes", "mdl", "uniform"):
-        raise ValidationError(f"unknown method {method!r}")
     if method == "uniform" and structure is None:
         raise ValidationError("method 'uniform' needs a fixed structure")
     scores = []
@@ -161,7 +158,7 @@ def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
             g, pset = res.graph, res.policies
         scores.append(evaluate_fold(train, test, g, pset)[0])
     return CvReport(method=method, folds=scores, seed=seed,
-                    extra={"folds_protocol": "fixed" if structure is not None else "joint"})
+                    protocol="fixed" if structure is not None else "joint")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .errors import CycleError, ValidationError
 
 

@@ -8,13 +8,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import DiscreteDataset, MixedDataset, sorted_view
-from .discretizer import discretize_one
+from .discretizer import check_method, discretize_one
 from .graph import Dag
 from .policy import DiscretizationPolicy, equal_width
 
 MAX_PASSES = 10  # reaching it means the passes cycle
 NOT_CONVERGED = f"did not converge within MAX_PASSES={MAX_PASSES} passes: the policies cycle"
 DEFAULT_INITIAL_K = 5  # used when no variable is initially discrete
+
+
+class NotConvergedWarning(UserWarning):
+    """:func:`discretize_all` stopped at :data:`MAX_PASSES` without converging."""
 
 
 @dataclass
@@ -50,6 +54,7 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
     continuous variable of ``d`` until the edge lists stop changing, starting
     from equal-width policies with :func:`initial_interval_count` intervals.
     """
+    check_method(method)
     cont_vars = g.reverse_topological(d.continuous_names())
     if not cont_vars:
         return PolicySet({}, 0, True)
@@ -84,5 +89,5 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
             converged = True
             break
     if not converged:
-        warnings.warn(f"discretization {NOT_CONVERGED}", stacklevel=2)
+        warnings.warn(f"discretization {NOT_CONVERGED}", NotConvergedWarning, stacklevel=2)
     return PolicySet(policies, pass_count, converged)

@@ -45,11 +45,6 @@ class DiscretizationPolicy:
             doc = {"variable": variable, **doc}
         return json.dumps(doc, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DiscretizationPolicy":
-        doc = json.loads(text)
-        return cls(tuple(doc["edges"]), doc["domain"][0], doc["domain"][1])
-
 
 def midpoint_candidates(col: SortedColumn) -> np.ndarray:
     """Midpoints between consecutive unique values; the only legal edge sites."""
@@ -102,7 +97,7 @@ def equal_width(col: SortedColumn, k: int) -> DiscretizationPolicy:
     if k < 1:
         raise ValidationError("k must be >= 1")
     lo, hi = float(col.uniques[0]), float(col.uniques[-1])
-    if k == 1 or hi == lo:
+    if hi == lo:
         return DiscretizationPolicy((), lo, hi)
     raw = [lo + j * (hi - lo) / k for j in range(1, k)]
     mids = midpoint_candidates(col)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .counts import family_counts
 from .dataset import DiscreteDataset, MixedDataset, sorted_view
+from .discretizer import check_method
 from .errors import ValidationError
 from .graph import Dag
 from .multivar import (PolicySet, apply_policies, discretize_all,
@@ -135,6 +136,7 @@ def learn_dvbn(d: MixedDataset, order: list[str],
     prior, which would collapse it to one interval, and a one-interval
     variable can never raise a family score.
     """
+    check_method(method)
     if sorted(order) != sorted(d.names):
         raise ValidationError("order must permute all dataset variables")
     k0 = initial_interval_count(d)

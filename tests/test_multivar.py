@@ -9,6 +9,7 @@ from dvbn import multivar
 from dvbn.dataset import (MixedDataset, Variable, load_csv, load_schema,
                           sorted_column, sorted_view)
 from dvbn.discretizer import discretize_one
+from dvbn.errors import ValidationError
 from dvbn.evaluation import naive_bayes_structure
 from dvbn.graph import Dag
 from dvbn.multivar import (PolicySet, apply_policies, discretize_all,
@@ -60,6 +61,12 @@ def test_discretize_all_empty_is_noop():
                      {"A": np.array([1, 2, 1]), "B": np.array([3, 1, 2])})
     g = Dag({"A": 2, "B": 3}).add_edge("A", "B")
     assert discretize_all(d, g) == PolicySet({}, 0, True)
+
+
+def test_discretize_all_checks_the_method_with_nothing_to_solve():
+    d = MixedDataset([Variable("A", "discrete", 2)], {"A": np.array([1, 2, 1])})
+    with pytest.raises(ValidationError, match="unknown discretization method 'nonsense'"):
+        discretize_all(d, Dag(["A"]), method="nonsense")
 
 
 def test_children_are_solved_before_parents(monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -38,8 +40,10 @@ def test_interval_width_uses_domain():
 
 def test_json_round_trip():
     p = DiscretizationPolicy((1.5, 2.5), 0.0, 3.0)
-    q = DiscretizationPolicy.from_json(p.to_json(variable="x"))
-    assert q == p
+    doc = json.loads(p.to_json(variable="x"))
+    assert list(doc.items()) == [("variable", "x"), ("edges", [1.5, 2.5]),
+                                 ("domain", [0.0, 3.0])]
+    assert DiscretizationPolicy(tuple(doc["edges"]), *doc["domain"]) == p
 
 
 def test_midpoint_candidates():

@@ -107,6 +107,14 @@ def test_multi_restart_on_discrete_data_is_plain_k2():
     assert res.policies == PolicySet({}, 0, True)
 
 
+def test_multi_restart_checks_the_method_on_discrete_data():
+    # nothing is ever rediscretized here, so only an up-front check can refuse it
+    dd = tiny_discrete()
+    d = MixedDataset([Variable(x, "discrete", 2) for x in dd.columns], dd.columns)
+    with pytest.raises(ValidationError, match="unknown discretization method 'nonsense'"):
+        multi_restart(d, 1, 0, method="nonsense")
+
+
 def test_multi_restart_deterministic_and_best():
     d, _ = random_mixed(7)
     r1 = multi_restart(d, 3, seed=1)
