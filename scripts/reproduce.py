@@ -27,9 +27,10 @@ its numbers, and how many ``discretize_all`` runs inside it stopped at
 
 The digests are:
 
-- ``solvers``: ``h_matrix``, ``mdl_h_matrix``, ``bayes_dp``'s ``(S, back,
-  W)`` (its result after the edges) and ``mdl_dp`` ``(edges, total,
-  per_k)`` on ``random_instance`` seeds 0-999 and on the synthetic
+- ``solvers``: ``h_matrix`` and ``mdl_h_matrix`` (their chunks assembled
+  into the dense m×m matrix by ``conftest.dense_kernel``), ``bayes_dp``'s
+  ``(S, back, W)`` (its result after the edges) and ``mdl_dp`` ``(edges,
+  total, per_k)`` on ``random_instance`` seeds 0-999 and on the synthetic
   generator of ``tests/synthetic.py`` at n = 300, 700 and 2000, and the
   ``PolicySet`` of ``discretize_all`` on ``random_mixed`` seeds 0-299 with
   each of the methods bayes and mdl;
@@ -71,8 +72,8 @@ import numpy as np
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from conftest import (random_discrete, random_instance, random_mixed,  # noqa: E402
-                      random_policy)
+from conftest import (dense_kernel, random_discrete, random_instance,  # noqa: E402
+                      random_mixed, random_policy)
 from dvbn.counts import build_context  # noqa: E402
 from dvbn.dataset import load_csv, load_schema, sorted_view  # noqa: E402
 from dvbn.discretizer import bayes_dp, mdl_dp, mdl_objective  # noqa: E402
@@ -198,11 +199,13 @@ def reprs(outputs):
 
 
 def solver_outputs(d_star, g, col):
-    """The two kernels and both DPs' results for target ``X``."""
+    """The two kernels, as dense matrices, and both DPs' results for target
+    ``X``; each DP reads its own kernel's chunks as they are built."""
     ctx = build_context(d_star, g, "X", col)
-    hm, hmdl = h_matrix(ctx, col), mdl_h_matrix(ctx, col)
-    return (hm, hmdl, repr(bayes_dp(col, hm, ctx.L)[1:]),
-            repr(mdl_dp(col, hmdl, ctx)))
+    return (dense_kernel(h_matrix(ctx, col), col.m),
+            dense_kernel(mdl_h_matrix(ctx, col), col.m),
+            repr(bayes_dp(col, h_matrix(ctx, col), ctx.L)[1:]),
+            repr(mdl_dp(col, mdl_h_matrix(ctx, col), ctx)))
 
 
 def instances():

@@ -24,21 +24,23 @@ def _policy(col: SortedColumn, edges: tuple[float, ...] = ()) -> DiscretizationP
     return DiscretizationPolicy(edges, float(col.values[0]), float(col.values[-1]))
 
 
-def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int):
+def bayes_dp(col: SortedColumn, chunks, L: int):
     """Optimal-prefix recursion over unique-value boundaries.
 
-    ``hm[u, v-1]`` must hold the interval kernel over rows ``s_u+1..s_v``.
-    Returns ``(edges, S, back, W)``: the optimal policy's edges, ``S[v]`` the
-    best objective over rows ``1..s_v`` (``S[0] = 0``), ``back[v]`` its last
-    split boundary u (0 = a single interval) and ``W[v]`` the edge penalty
-    after unique v (``W[m] = 0``).  Ties prefer the larger split index
-    (fewer, later edges).
+    ``chunks`` is the Bayesian kernel as :func:`dvbn.scoring.h_matrix` yields
+    it: end-major chunks ``(v1, v2, K)`` in increasing end order, ``K[i, u]``
+    the interval kernel over rows ``s_u+1..s_v`` for v = v1 + i and every
+    u < v2 - 1.  Returns ``(edges, S, back, W)``: the optimal policy's edges,
+    ``S[v]`` the best objective over rows ``1..s_v`` (``S[0] = 0``),
+    ``back[v]`` its last split boundary u (0 = a single interval) and ``W[v]``
+    the edge penalty after unique v (``W[m] = 0``).  Ties prefer the larger
+    split index (fewer, later edges).
 
-    Ends v are taken in column blocks of about :data:`BLOCK_ELEMENTS`
-    candidates.  A block forms every ``(W[v] + hm[u, v-1]) + Lr·(u_v - u_u)``
-    at once, last split first; each v then adds ``S[u]``, also kept last
-    first, and takes one argmin, whose first hit is the larger u.  The single
-    interval adds ``S[0] = 0``, which leaves its candidate (never -0.0) as is.
+    Each chunk is consumed as it arrives: it forms every
+    ``(W[v] + K[i, u]) + Lr·(u_v - u_u)`` of its ends at once, last split
+    first; each v then adds ``S[u]``, also kept last first, and takes one
+    argmin, whose first hit is the larger u.  The single interval adds
+    ``S[0] = 0``, which leaves its candidate (never -0.0) as is.
     """
     u0 = col.uniques
     m = col.m
@@ -47,20 +49,18 @@ def bayes_dp(col: SortedColumn, hm: np.ndarray, L: int):
         raise ValidationError("degenerate column has no DP to run")
     Lr = L / rng
 
-    W = [0.0] * (m + 1)
-    for i in range(1, m):
-        W[i] = neg_log1m_exp(L * float(u0[i] - u0[i - 1]) / rng)
+    # W[1..m-1]; each argument L·gap/rng rounds exactly as in scalar floats
+    W = [0.0, *map(neg_log1m_exp, (L * np.diff(u0) / rng).tolist()), 0.0]
 
     rS = np.zeros(m + 1)  # rS[m-v] = S[v]
     back = [0] * (m + 1)
-    rS[m - 1] = W[1] + float(hm[0, 0])  # single interval over rows 1..s_1
     Wv = np.array(W)
-    width = max(1, BLOCK_ELEMENTS // m)
-    for v1 in range(2, m + 1, width):
-        v2 = min(m + 1, v1 + width)
+    for v1, v2, K in chunks:
+        if v1 == 1:
+            rS[m - 1] = W[1] + float(K[0, 0])  # single interval over rows 1..s_1
+            v1, K = 2, K[1:]
         # row i: the candidates u = v2-2..0 of v = v1 + i, before S[u]
-        cand = np.ascontiguousarray(hm[v2 - 2::-1, v1 - 1:v2 - 1].T)
-        cand += Wv[v1:v2, None]
+        cand = np.add(K[:, v2 - 2::-1], Wv[v1:v2, None])
         cand += Lr * (u0[v1 - 1:v2 - 1, None] - u0[v2 - 2::-1])
         for v, c in zip(range(v1, v2), cand):
             c = c[v2 - 1 - v:]
@@ -133,7 +133,7 @@ def _mdl_block_elements(m: int) -> int:
 
 def mdl_dp_elements(m: int) -> int:
     """8-byte elements that :func:`mdl_dp` holds at its peak for a column of
-    m unique values: the transposed kernel, the back pointers of every layer,
+    m unique values: the end-major kernel, the back pointers of every layer,
     one layer block of at most :data:`BLOCK_ELEMENTS`, a few m-vectors, and
     the iterator buffers (``np.getbufsize()`` elements per operand) of a
     block's strided add."""
@@ -141,11 +141,13 @@ def mdl_dp_elements(m: int) -> int:
             + 3 * np.getbufsize())
 
 
-def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
+def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
     """Layered DP: exact best interval-sum for every interval count k.
 
-    Returns ``(edges, total, per_k_totals)`` where ``per_k_totals[k-1]`` is the
-    full MDL objective of the best k-interval policy.
+    ``chunks`` is the MDL kernel as :func:`dvbn.scoring.mdl_h_matrix` yields
+    it, laid out as :func:`bayes_dp` reads its kernel.  Returns
+    ``(edges, total, per_k_totals)`` where ``per_k_totals[k-1]`` is the full
+    MDL objective of the best k-interval policy.
 
     A layer whose candidates fit in :data:`BLOCK_ELEMENTS` is one add and one
     argmin.  A larger layer goes in row blocks ``[j1, j2)`` of at most that
@@ -159,12 +161,15 @@ def mdl_dp(col: SortedColumn, hmdl: np.ndarray, ctx: NeighborContext):
     # the candidates of one end are a contiguous row and argmin's first hit
     # is the larger u.  Splits past the end (u > v-1) are meaningless: poison
     # them.
-    hT = hmdl.T[:, ::-1].copy()
+    hT = np.empty((m, m))
+    for v1, v2, K in chunks:
+        hT[v1 - 1:v2 - 1, m + 1 - v2:] = K[:, v2 - 2::-1]
+    del K  # the last chunk, not held through the layers
     for r in range(m - 1):
         hT[r, :m - 1 - r] = np.inf
     pen = _penalties(m, ctx.n, *_param_counts(ctx))
 
-    s = hmdl[0]                            # k = 1: single interval over prefix
+    s = hT[:, m - 1].copy()                # k = 1: single interval over prefix
     per_k = [pen[0] + float(s[m - 1])]
     buf = np.empty(_mdl_block_elements(m))
     # the r = m-k+1 back pointers of layer k start at r(r-1)/2; entry v-k

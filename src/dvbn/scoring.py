@@ -2,11 +2,20 @@
 
 All combinatorial factors are evaluated with log-gamma; nothing computes a
 raw factorial.  Besides the direct per-interval kernel, this module builds
-the upper-triangular kernel matrices over unique-value boundaries that the
-dynamic programs consume: entry ``(u, v)`` covers sorted rows
-``s_u + 1 .. s_v`` (with ``s_0 = 0``).  It also keeps the tables of ln Γ(k)
-and k·ln k over integer counts that the K2 family score and the MDL kernel
-gather from.
+the kernels over unique-value boundaries that the dynamic programs consume:
+entry ``(u, v)`` covers sorted rows ``s_u + 1 .. s_v`` (with ``s_0 = 0``).
+It also keeps the tables of ln Γ(k) and k·ln k over integer counts that the
+K2 family score and the MDL kernel gather from.
+
+A kernel is never built as one m×m array.  The builder walks the sorted rows
+in chunks of at most :data:`BLOCK_ELEMENTS` terms (rows × live boundaries,
+at least one row; a chunk may end inside a run of tied values) and yields
+end-major chunks ``(v1, v2, K)`` in increasing end order: ``K[i, u]`` is
+entry ``(u, v1 + i)`` for each interval end ``v1 + i`` whose last row falls
+in the chunk, for at least every u < v2 − 1.  Each boundary's prefix sum over
+the rows runs on across chunks: a chunk sets its first term to
+``carry + t``, the add that ``np.cumsum`` itself makes there, so every entry
+is bit for bit the one-boundary cumulative sum.
 """
 
 from __future__ import annotations
@@ -20,18 +29,20 @@ from .dataset import SortedColumn
 from .errors import DataError, ValidationError
 from .policy import representations
 
-#: Elements per block of the vectorized kernel builder and Bayesian DP.  Each
+#: Elements per chunk of the vectorized kernel builder (and so per block of
+#: the Bayesian DP's candidates) and per block of the MDL DP's layers.  Each
 #: of a block's temporaries then stays under 128 KiB: below glibc's default
 #: mmap threshold, so it is reused from the heap instead of being mapped and
-#: faulted in afresh, and small enough for a core's L2 cache.  The working set
-#: beyond the m×m kernel stays flat in n; columns with m·n ≤ 16,000 run in one
-#: block.
+#: faulted in afresh, and small enough for a core's L2 cache.  A Bayesian
+#: solve holds a few such blocks and O(m) per blanket block; columns with
+#: m·n ≤ 16,000 run in one chunk.
 BLOCK_ELEMENTS = 16_000
 
-#: Largest total size, in bytes, of the dense m×m float64 arrays that one
-#: solve step may allocate (m = unique values of the column): 1 GiB admits a
-#: kernel matrix of up to 11,585 unique values.  Larger requests raise
-#: :class:`DataError` before anything is allocated.
+#: Largest total size, in bytes, of the dense m×m float64 arrays that one MDL
+#: solve step may allocate (m = unique values of the column): 1 GiB admits an
+#: MDL kernel of up to 11,585 unique values and the MDL DP's arrays up to
+#: 9,455.  Larger requests raise :class:`DataError` before anything is
+#: allocated.  The Bayesian solve holds no m×m array and has no such bound.
 MAX_DENSE_BYTES = 1 << 30
 
 
@@ -191,31 +202,30 @@ def objective(col: SortedColumn, ctx: NeighborContext, policy) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Kernel matrices over unique-value boundaries
+# Kernels over unique-value boundaries, in end-major chunks
 # ---------------------------------------------------------------------------
 
 def _occurrence_before(codes: np.ndarray) -> np.ndarray:
     """G[r] = number of earlier rows with the same code."""
     order = np.argsort(codes, kind="stable")
     sc = codes[order]
-    n = len(codes)
-    grp_start = np.concatenate(([0], np.nonzero(np.diff(sc))[0] + 1))
-    counts = np.diff(np.concatenate((grp_start, [n])))
-    ranks = np.arange(n) - np.repeat(grp_start, counts)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = ranks
+    # a sorted row's rank within its code: its position less the code's first
+    per_code = np.bincount(sc)
+    out = np.empty(len(codes), dtype=np.int64)
+    out[order] = np.arange(len(codes)) - (np.cumsum(per_code) - per_code)[sc]
     return out
 
 
-def _row_block_counts(codes: np.ndarray, j: int, step: np.ndarray, m: int):
-    """``counts(u1, u2, a1)``: for boundaries u = u1..u2-1 and rows
-    ``a1+1..n``, the occurrences of each row's code (of ``j``) among the
+def _boundary_counts(codes: np.ndarray, j: int, step: np.ndarray, m: int):
+    """``counts(rows, U)``: for the sorted rows of slice ``rows`` and the
+    boundaries u < U, the occurrences of each row's code (of ``j``) among the
     earlier rows of u's interval, or -(those from the row up to the interval)
     for a row before it.  Row r is first counted at boundary ``step[r]``."""
-    inc = np.bincount(step * j + codes, minlength=(m + 1) * j).reshape(m + 1, j)
-    G, C = _occurrence_before(codes), np.cumsum(inc[:m], axis=0)
-    # np.take along an axis gathers faster than fancy indexing
-    return lambda u1, u2, a1: G[a1:] - np.take(C[u1:u2], codes[a1:], axis=1)
+    inc = np.bincount(codes * (m + 1) + step, minlength=j * (m + 1)).reshape(j, m + 1)
+    # CT[code, u]: rows before boundary u's interval with that code; one row's
+    # counts over the live boundaries are then one contiguous gather
+    G, CT = _occurrence_before(codes), np.cumsum(inc[:, :m], axis=1)
+    return lambda rows, U: G[rows, None] - CT[codes[rows], :U]
 
 
 def check_dense_budget(m: int, elements: int, what: str) -> None:
@@ -229,51 +239,59 @@ def check_dense_budget(m: int, elements: int, what: str) -> None:
             f"the {what}, over the {MAX_DENSE_BYTES / 2**30:g} GiB budget")
 
 
-def _kernel_matrix(ctx: NeighborContext, col: SortedColumn, block_term) -> np.ndarray:
-    """Per-row terms summed over each boundary interval, layout as in
-    :func:`h_matrix`, over the blocks of ``ctx`` (see :mod:`dvbn.counts`):
-    the joint parent configuration under a single condition, then each child
-    given its spouses.  For a block of ``j`` values, ``block_term(value, j)``
-    gives ``term(c_cell, c_cond, a)``: the terms of rows ``a+1..n``, one row
-    per boundary, from the counts of each row's (value, condition) cell and
-    condition among the interval's earlier rows.  Counts arrive raw: a row
-    before a boundary's interval has both counts in ``-n..-1`` and must get
-    the term +0.0.  Blocks of one value add nothing.
+def _kernel_chunks(ctx: NeighborContext, col: SortedColumn, block_term):
+    """Per-row terms summed over each boundary interval, as the end-major
+    chunks described in the module docstring, over the blocks of ``ctx``
+    (see :mod:`dvbn.counts`): the joint parent configuration under a single
+    condition, then each child given its spouses.  For a block of ``j``
+    values, ``block_term(value, j)`` gives ``term(c_cell, c_cond, rows)``:
+    the terms of the sorted rows of slice ``rows`` (axis 0) for each live
+    boundary (axis 1), from the counts of each row's (value, condition) cell
+    and condition among the interval's earlier rows.  Counts arrive raw: a
+    row before a boundary's interval has both counts in ``-n..-1`` and must
+    get the term +0.0.  Blocks of one value add nothing.
 
-    Split boundaries are taken in row blocks of about :data:`BLOCK_ELEMENTS`
-    terms, and each block's prefix sums over a row block are added into the
-    kernel while they are in cache, in block order: every entry equals the
-    sum of the one-boundary cumulative sums bit for bit."""
+    Each blanket block keeps its own carries, and a chunk adds the blocks'
+    prefix sums into its ends' rows from zeros, in block order."""
     m, n, s = col.m, ctx.n, col.last_occurrence
-    check_dense_budget(m, m * m, "kernel matrix")
-    hm = np.zeros((m, m))
-    a = np.concatenate(([0], s[:-1]))  # a[u]: rows before boundary u's interval
-    step = np.searchsorted(a, np.arange(n), side="right")
-    blocks = [(block_term(value, j), _row_block_counts(cell, j * j_cond, step, m),
-               _row_block_counts(cond, j_cond, step, m) if j_cond > 1 else None)
+    b = np.concatenate(([0], s))  # b[u]: rows before boundary u's interval
+    # live[r]: the boundaries whose interval starts before row r, for r <= n;
+    # live[r + 1] is also the end v whose unique value holds row r, and
+    # live[n + 1] = m + 1
+    live = np.searchsorted(b, np.arange(n + 2))
+    step = live[1:n + 1]  # the boundary at which row r is first counted
+    blocks = [(block_term(value, j), _boundary_counts(cell, j * j_cond, step, m),
+               _boundary_counts(cond, j_cond, step, m) if j_cond > 1 else None,
+               np.zeros(m))
               for value, j, cond, j_cond, cell in ctx.blocks if j > 1]
-    u1 = 0
-    while u1 < m:
-        a1 = int(a[u1])
-        u2 = min(m, u1 + max(1, BLOCK_ELEMENTS // (n - a1)))
-        # a single condition's counts: the rows since each boundary's first
-        since = np.arange(n - a1) - (a[u1:u2, None] - a1)
-        # entries with v <= u gather a zero prefix sum and stay 0; with every
-        # value unique (m == n) the gather is the identity
-        idx = None if m == n else s[u1:] - 1 - a1
-        out = hm[u1:u2, u1:]
-        for term, cell_counts, cond_counts in blocks:
-            c_cond = since if cond_counts is None else cond_counts(u1, u2, a1)
-            terms = term(cell_counts(u1, u2, a1), c_cond, a1)
-            csum = np.cumsum(terms, axis=1, out=terms)
-            out += csum if idx is None else np.take(csum, idx, axis=1)
-        u1 = u2
-    return hm
+    r1 = 0
+    while r1 < n:
+        # the most rows whose terms over their live boundaries fit one block
+        fit = np.arange(1, n - r1 + 1) * live[r1 + 1:n + 1]
+        r2 = r1 + max(1, int(fit.searchsorted(BLOCK_ELEMENTS, side="right")))
+        # U boundaries are live; the ends v1..v2-1 have their last row here
+        rows, U, v1, v2 = slice(r1, r2), int(live[r2]), int(live[r1 + 1]), int(live[r2 + 1])
+        K = np.zeros((v2 - v1, U))
+        # with every value unique (m == n) each row is an end
+        last = None if m == n else s[v1 - 1:v2 - 1] - 1 - r1
+        for term, cell_counts, cond_counts, carry in blocks:
+            c_cond = (np.arange(r1, r2)[:, None] - b[:U] if cond_counts is None
+                      else cond_counts(rows, U))
+            terms = term(cell_counts(rows, U), c_cond, rows)
+            terms[0] += carry[:U]  # carry + t, the add np.cumsum would make
+            csum = np.cumsum(terms, axis=0, out=terms)
+            carry[:U] = csum[-1]
+            K += csum if last is None else np.take(csum, last, axis=0)
+        if v2 > v1:
+            yield v1, v2, K
+        r1 = r2
 
 
-def h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
-    """Bayesian kernel over all boundary intervals; entry (u, v-1) is
-    ``h(s_u + 1, s_v)``.  Entries with v <= u are unused and left at 0."""
+def h_matrix(ctx: NeighborContext, col: SortedColumn):
+    """Bayesian kernel over all boundary intervals, as end-major chunks
+    ``(v1, v2, K)`` in increasing end order: ``K[i, u]`` is
+    ``h(s_u + 1, s_v)`` for the end v = v1 + i and each u < v.  ``K`` has at
+    least v2 - 1 columns, and its entries with u ≥ v are 0."""
     n = ctx.n
 
     def block_term(value, j):
@@ -281,8 +299,8 @@ def h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
         # integers) for the counts c = 0..n-1, then n zeros for -n..-1
         t_cond, t_cell = (np.concatenate((np.log(np.arange(i, n + i)), np.zeros(n)))
                           for i in (j, 1))
-        return lambda c_cell, c_cond, a: t_cond[c_cond] - t_cell[c_cell]
-    return _kernel_matrix(ctx, col, block_term)
+        return lambda c_cell, c_cond, rows: t_cond[c_cond] - t_cell[c_cell]
+    return _kernel_chunks(ctx, col, block_term)
 
 
 def _phi(c: np.ndarray) -> np.ndarray:
@@ -292,10 +310,15 @@ def _phi(c: np.ndarray) -> np.ndarray:
     return t[c + 1] - t[c]
 
 
-def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
-    """Negated per-interval mutual-information contributions, same layout as
-    :func:`h_matrix`.  Summed over a partition this equals
-    ``-n·[I(X,Pa) + Σ_j I(C_j, Pa(C_j))]`` up to terms constant in the policy."""
+def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn):
+    """Negated per-interval mutual-information contributions, as chunks laid
+    out like :func:`h_matrix`'s.  Summed over a partition this equals
+    ``-n·[I(X,Pa) + Σ_j I(C_j, Pa(C_j))]`` up to terms constant in the policy.
+
+    The cubic MDL DP reads every entry in every layer, so it holds the whole
+    m×m kernel: a column whose kernel would exceed :data:`MAX_DENSE_BYTES`
+    is refused here, before any chunk is built."""
+    check_dense_budget(col.m, col.m * col.m, "MDL kernel")
     log_n = math.log(ctx.n)
     # counts in -n..-1 index this table from its end; their terms, whose
     # log_n - log_m is not 0, are then replaced by 0
@@ -303,9 +326,9 @@ def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn) -> np.ndarray:
 
     def block_term(value, j):
         log_m = np.log(np.maximum(np.bincount(value, minlength=j), 1))
-        return lambda c_cell, c_cond, a: np.where(c_cond < 0, 0.0, -(
-            phi[c_cell] - log_m[value[a:]] - phi[c_cond] + log_n))
-    return _kernel_matrix(ctx, col, block_term)
+        return lambda c_cell, c_cond, rows: np.where(c_cond < 0, 0.0, -(
+            phi[c_cell] - log_m[value[rows], None] - phi[c_cond] + log_n))
+    return _kernel_chunks(ctx, col, block_term)
 
 
 def mdl_interval_term(ctx: NeighborContext, a: int, b: int) -> float:

@@ -122,3 +122,21 @@ def blanket_instance(n: int, seed: int, decimals: int | None = None):
     for a, b in (("P", "X"), ("X", "C1"), ("S", "C1"), ("X", "C2")):
         g = g.add_edge(a, b)
     return DiscreteDataset(cols, cards), g, sorted_column(x)
+
+
+def dense_kernel(chunks, m: int) -> np.ndarray:
+    """The m×m kernel matrix, entry ``(u, v-1)`` over sorted rows
+    ``s_u+1..s_v`` and 0 where v <= u, from the end-major chunks of
+    ``dvbn.scoring.h_matrix`` or ``mdl_h_matrix``."""
+    hm = np.zeros((m, m))
+    for v1, v2, K in chunks:
+        hm[:K.shape[1], v1 - 1:v2 - 1] = K.T
+    return hm
+
+
+def kernel_chunks(hm: np.ndarray):
+    """The end-major chunks of an m×m kernel matrix laid out as
+    :func:`dense_kernel` returns it, one interval end per chunk, built as
+    they are consumed."""
+    for v in range(1, len(hm) + 1):
+        yield v, v + 1, hm[:v, v - 1:v].T

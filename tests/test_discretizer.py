@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import blanket_instance, random_instance
-from dvbn import discretizer
+from conftest import blanket_instance, dense_kernel, kernel_chunks, random_instance
+from dvbn import discretizer, scoring
 from dvbn.counts import build_context
 from dvbn.dataset import DiscreteDataset, SortedColumn, sorted_column, sorted_view
 from dvbn.discretizer import (bayes_dp, discretize_one, mdl_dp, mdl_dp_elements,
@@ -234,8 +234,8 @@ def _mdl_dp_reference(col: SortedColumn, hmdl: np.ndarray, ctx):
 
 def _assert_mdl_dp_matches_reference(d_star, g, col):
     ctx = build_context(d_star, g, "X", col)
-    hmdl = mdl_h_matrix(ctx, col)
-    assert mdl_dp(col, hmdl, ctx) == _mdl_dp_reference(col, hmdl, ctx)
+    hmdl = dense_kernel(mdl_h_matrix(ctx, col), col.m)
+    assert mdl_dp(col, mdl_h_matrix(ctx, col), ctx) == _mdl_dp_reference(col, hmdl, ctx)
 
 
 def test_mdl_dp_matches_reference_layer_loop_exactly():
@@ -259,13 +259,17 @@ def test_mdl_dp_matches_reference_at_large_m(n, decimals):
 @pytest.mark.parametrize("budget", [1, 7, 40])
 def test_mdl_dp_matches_reference_in_small_blocks(monkeypatch, budget):
     # layers wider than the budget run in row blocks trimmed to their live
-    # columns; 3B tied values give long layers with equal candidates
+    # columns, and the kernel arrives in as small row chunks; 3B tied values
+    # give long layers with equal candidates, and 120 rows rounded to 7
+    # values a value whose 34 rows span several chunks
     monkeypatch.setattr(discretizer, "BLOCK_ELEMENTS", budget)
+    monkeypatch.setattr(scoring, "BLOCK_ELEMENTS", budget)
     for seed in range(200):
         d_star, g, col = random_instance(seed)
         if col.m > 1:
             _assert_mdl_dp_matches_reference(d_star, g, col)
     _assert_mdl_dp_matches_reference(*blanket_instance(3 * B, 0, 1))
+    _assert_mdl_dp_matches_reference(*blanket_instance(120, 0, 0))
 
 
 def test_mdl_dp_memory_projection_covers_its_traced_peak():
@@ -284,6 +288,21 @@ def test_mdl_dp_memory_projection_covers_its_traced_peak():
     assert 0.9 * projected <= peak <= projected
 
 
+def test_bayes_solve_holds_no_dense_kernel():
+    # the kernel's chunks stream into the DP: at m = 3000 one m x m float64
+    # array would take 72 MB, and the whole solve stays under 5% of that
+    d_star, g, col = blanket_instance(3000, 3000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        discretize_one(d_star, g, "X", col, method="bayes")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert col.m == 3000
+    assert peak < 0.05 * 8 * col.m ** 2
+
+
 def test_mdl_dp_tie_prefers_larger_split():
     # every split of a 2-interval policy costs 2; the single interval costs
     # 100 and more intervals cost more: the last candidate edge must win
@@ -295,7 +314,7 @@ def test_mdl_dp_tie_prefers_larger_split():
     ctx = build_context(d_star, g, "X", col)
     hmdl = np.triu(np.ones((4, 4)))
     hmdl[0, 3] = 100.0
-    edges, total, per_k = mdl_dp(col, hmdl, ctx)
+    edges, total, per_k = mdl_dp(col, kernel_chunks(hmdl), ctx)
     assert edges == (2.5,)
     assert total == per_k[1] == mdl_penalty(2, 4, ctx) + 2.0
     assert (edges, total, per_k) == _mdl_dp_reference(col, hmdl, ctx)
@@ -330,8 +349,8 @@ def _bayes_dp_reference(col: SortedColumn, hm: np.ndarray, L: int):
 
 def _assert_bayes_dp_matches_reference(d_star, g, col):
     ctx = build_context(d_star, g, "X", col)
-    hm = h_matrix(ctx, col)
-    assert bayes_dp(col, hm, ctx.L)[1:] == _bayes_dp_reference(col, hm, ctx.L)
+    hm = dense_kernel(h_matrix(ctx, col), col.m)
+    assert bayes_dp(col, h_matrix(ctx, col), ctx.L)[1:] == _bayes_dp_reference(col, hm, ctx.L)
 
 
 def test_bayes_dp_matches_reference_loop_exactly():
@@ -352,11 +371,13 @@ def test_bayes_dp_matches_reference_at_block_edges(n, decimals):
 
 @pytest.mark.parametrize("budget", [1, 7, 40])
 def test_bayes_dp_matches_reference_in_small_blocks(monkeypatch, budget):
-    monkeypatch.setattr(discretizer, "BLOCK_ELEMENTS", budget)
+    # the DP takes its blocks of ends from the kernel's row chunks
+    monkeypatch.setattr(scoring, "BLOCK_ELEMENTS", budget)
     for seed in range(200):
         d_star, g, col = random_instance(seed)
         if col.m > 1:
             _assert_bayes_dp_matches_reference(d_star, g, col)
+    _assert_bayes_dp_matches_reference(*blanket_instance(120, 0, 0))
 
 
 def test_bayes_dp_tie_prefers_larger_split():
@@ -371,7 +392,7 @@ def test_bayes_dp_tie_prefers_larger_split():
     hm[1, 1] = -w
     hm[1, 3] = 1.0
     hm[2, 3] = 2.0
-    _, S, back, W = bayes_dp(col, hm, 3)
+    _, S, back, W = bayes_dp(col, kernel_chunks(hm), 3)
     assert S[1] == S[2] == w
     assert back[4] == 2 and back[2] == 1
     assert S[4] == 3.0 + w

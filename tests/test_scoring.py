@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import blanket_instance, random_instance, random_policy
+from conftest import (blanket_instance, dense_kernel, kernel_chunks, random_instance,
+                      random_policy)
 from dvbn import discretizer, scoring
 from dvbn.counts import build_context
 from dvbn.dataset import DiscreteDataset, sorted_column
@@ -99,7 +100,7 @@ def test_h_matrix_matches_direct_kernel():
     for seed in range(40):
         d_star, g, col = random_instance(seed)
         ctx = build_context(d_star, g, "X", col)
-        hm = h_matrix(ctx, col)
+        hm = dense_kernel(h_matrix(ctx, col), col.m)
         s = col.last_occurrence
         for u in range(col.m):
             for v in range(u + 1, col.m + 1):
@@ -112,7 +113,7 @@ def test_mdl_h_matrix_matches_direct_kernel():
     for seed in range(40):
         d_star, g, col = random_instance(seed)
         ctx = build_context(d_star, g, "X", col)
-        hm = mdl_h_matrix(ctx, col)
+        hm = dense_kernel(mdl_h_matrix(ctx, col), col.m)
         s = col.last_occurrence
         for u in range(col.m):
             for v in range(u + 1, col.m + 1):
@@ -215,8 +216,10 @@ def _assert_bytes_equal(got, want):
 
 def _assert_kernels_match_reference(d_star, g, col):
     ctx = build_context(d_star, g, "X", col)
-    _assert_bytes_equal(h_matrix(ctx, col), _h_matrix_reference(ctx, col))
-    _assert_bytes_equal(mdl_h_matrix(ctx, col), _mdl_h_matrix_reference(ctx, col))
+    _assert_bytes_equal(dense_kernel(h_matrix(ctx, col), col.m),
+                        _h_matrix_reference(ctx, col))
+    _assert_bytes_equal(dense_kernel(mdl_h_matrix(ctx, col), col.m),
+                        _mdl_h_matrix_reference(ctx, col))
 
 
 def test_kernels_match_reference_loop_exactly():
@@ -243,7 +246,8 @@ def test_mdl_kernel_matches_reference_when_one_configuration_holds_every_row():
     d_star, g, col = blanket_instance(300, 0)
     ones = {name: np.ones(col.n, dtype=np.int64) for name in d_star.columns}
     ctx = build_context(DiscreteDataset(ones, d_star.cardinalities), g, "X", col)
-    _assert_bytes_equal(mdl_h_matrix(ctx, col), _mdl_h_matrix_reference(ctx, col))
+    _assert_bytes_equal(dense_kernel(mdl_h_matrix(ctx, col), col.m),
+                        _mdl_h_matrix_reference(ctx, col))
 
 
 @pytest.mark.parametrize("budget", [1, 7, 40])
@@ -251,19 +255,19 @@ def test_kernels_match_reference_in_small_blocks(monkeypatch, budget):
     monkeypatch.setattr(scoring, "BLOCK_ELEMENTS", budget)
     for seed in range(200):
         _assert_kernels_match_reference(*random_instance(seed))
+    # 120 rows rounded to 7 values: the 34 rows of one value span several
+    # row chunks, so prefix sums run on across chunks inside a tie
+    _assert_kernels_match_reference(*blanket_instance(120, 0, 0))
 
 
 def test_dense_arrays_over_budget_are_refused_before_allocation():
-    # m = 20000 unique values: one m x m float64 kernel would take 3.2 GB
+    # m = 20000 unique values: one m x m float64 MDL kernel would take 3.2 GB
     m = 20000
     assert 8 * m * m > scoring.MAX_DENSE_BYTES
     d_star, g, col = blanket_instance(m, 0)
     ctx = build_context(d_star, g, "X", col)
-    for build in (h_matrix, mdl_h_matrix):
-        with pytest.raises(DataError, match="20000 unique values"):
-            build(ctx, col)
+    with pytest.raises(DataError, match="20000 unique values"):
+        mdl_h_matrix(ctx, col)
     # a zero-stride view stands in for the kernel: nothing m x m is allocated
     with pytest.raises(DataError, match="MDL layers"):
-        discretizer.mdl_dp(col, np.broadcast_to(0.0, (m, m)), ctx)
-    with pytest.raises(DataError, match="budget"):
-        discretizer.discretize_one(d_star, g, "X", col, method="bayes")
+        discretizer.mdl_dp(col, kernel_chunks(np.broadcast_to(0.0, (m, m))), ctx)
