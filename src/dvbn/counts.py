@@ -52,12 +52,16 @@ def joint_codes(columns: list[np.ndarray], cards: list[int], n: int) -> tuple[np
     return codes, radix
 
 
+def column_codes(d_star: DiscreteDataset, names) -> tuple[np.ndarray, int]:
+    """:func:`joint_codes` of the named columns of ``d_star``."""
+    return joint_codes([d_star.columns[v] for v in names],
+                       [d_star.cardinalities[v] for v in names], d_star.n_rows)
+
+
 def family_counts(d_star: DiscreteDataset, x: str, parents) -> np.ndarray:
     """``(q, r)`` counts of x's values per joint configuration of ``parents``."""
-    names = [x, *parents]
     r = d_star.cardinalities[x]
-    codes, qr = joint_codes([d_star.columns[v] for v in names],
-                            [d_star.cardinalities[v] for v in names], d_star.n_rows)
+    codes, qr = column_codes(d_star, [x, *parents])
     return np.bincount(codes, minlength=qr).reshape(qr // r, r)
 
 

@@ -13,7 +13,9 @@ from .graph import Dag
 from .policy import DiscretizationPolicy, equal_width
 
 MAX_PASSES = 10  # reaching it means the passes cycle
-NOT_CONVERGED = f"did not converge within MAX_PASSES={MAX_PASSES} passes: the policies cycle"
+#: The text of the warning and of ``discretize_summary.json``'s ``warning``.
+NOT_CONVERGED = (f"discretization did not converge within MAX_PASSES={MAX_PASSES} passes: "
+                 "the policies cycle")
 DEFAULT_INITIAL_K = 5  # used when no variable is initially discrete
 
 
@@ -89,5 +91,5 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
             converged = True
             break
     if not converged:
-        warnings.warn(f"discretization {NOT_CONVERGED}", NotConvergedWarning, stacklevel=2)
+        warnings.warn(NOT_CONVERGED, NotConvergedWarning, stacklevel=2)
     return PolicySet(policies, pass_count, converged)

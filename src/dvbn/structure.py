@@ -8,11 +8,12 @@ greedy parent addition only ever re-scores one family.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import family_counts
+from .counts import column_codes
 from .dataset import DiscreteDataset, MixedDataset, sorted_view
 from .discretizer import check_method
 from .errors import ValidationError
@@ -20,7 +21,19 @@ from .graph import Dag
 from .multivar import (PolicySet, apply_policies, discretize_all,
                        initial_interval_count)
 from .policy import equal_width
-from .scoring import log_gamma_table
+from .scoring import BLOCK_ELEMENTS, log_gamma_table
+
+
+def _scores(codes: np.ndarray, batch: int, q: int, r: int, n: int) -> np.ndarray:
+    """Scores of ``batch`` families of ``n`` rows from their stacked codes:
+    each family has q parent configurations and r values of x, x least
+    significant, and family k's codes are offset by k·q·r.  Each family's
+    ``(q, r)`` counts are one contiguous row, summed as one family would be."""
+    beta = np.bincount(codes, minlength=batch * q * r).reshape(batch, q, r)
+    # alpha = 1 everywhere, so alpha0 = r and lgamma(alpha) = 0
+    lg = log_gamma_table(r + n)
+    return ((lg[r] - lg[r + beta.sum(axis=2)]).sum(axis=1)
+            + lg[1 + beta].reshape(batch, q * r).sum(axis=1))
 
 
 def family_score(x: str, parents, d_star: DiscreteDataset,
@@ -30,11 +43,8 @@ def family_score(x: str, parents, d_star: DiscreteDataset,
     if cache is not None and (x, parents) in cache:
         return cache[(x, parents)]
     r = d_star.cardinalities[x]
-    beta = family_counts(d_star, x, parents)
-    beta0 = beta.sum(axis=1)
-    # alpha = 1 everywhere, so alpha0 = r and lgamma(alpha) = 0
-    lg = log_gamma_table(r + d_star.n_rows)
-    score = float(np.sum(lg[r] - lg[r + beta0]) + np.sum(lg[1 + beta]))
+    codes, qr = column_codes(d_star, (x, *parents))
+    score = float(_scores(codes, 1, qr // r, r, d_star.n_rows)[0])
     if cache is not None:
         cache[(x, parents)] = score
     return score
@@ -46,14 +56,39 @@ def network_score(g: Dag, d_star: DiscreteDataset, cache: dict | None = None) ->
 
 def _ranking(x: str, parents: tuple, d_star: DiscreteDataset, cache: dict) -> list:
     """Every parent ``x`` could add to ``parents``, as ``(family score, name)``
-    pairs best first; built once per family and kept in ``cache``."""
-    key = (x, parents, "ranked")
-    ranking = cache.get(key)
-    if ranking is None:
-        ranking = cache[key] = sorted(
-            ((family_score(x, parents + (y,), d_star, cache), y)
-             for y in d_star.columns if y != x and y not in parents),
-            reverse=True)
+    pairs best first, kept in ``cache`` under ``(x, parents, "ranked")``.
+
+    The candidates are scored in batches of equal-size count tables.  A
+    batch holds at most :data:`BLOCK_ELEMENTS` table cells and as many codes
+    (rows times families), or one family if that is larger, and each
+    family's score is kept in ``cache`` as :func:`family_score` keeps it."""
+    r, n = d_star.cardinalities[x], d_star.n_rows
+    # A candidate y at place i among the sorted parents splits the family's
+    # codes into those of [x, *parents[:i]] below y and of parents[i:] above.
+    below, radix = zip(*(column_codes(d_star, (x, *parents[:i]))
+                        for i in range(len(parents) + 1)))
+    above = [column_codes(d_star, parents[i:])[0] for i in range(len(parents) + 1)]
+    below, above, radix = np.stack(below), np.stack(above), np.array(radix)
+    by_card: dict[int, list[str]] = {}
+    for y in d_star.columns:
+        if y != x and y not in parents:
+            by_card.setdefault(d_star.cardinalities[y], []).append(y)
+    ranking = []
+    for card, ys in by_card.items():
+        qr = int(radix[-1]) * card
+        step = max(1, BLOCK_ELEMENTS // max(qr, n))
+        for start in range(0, len(ys), step):
+            batch = ys[start:start + step]
+            place = np.array([bisect(parents, y) for y in batch])
+            low = radix[place, None]
+            codes = (below[place] + (np.stack([d_star.columns[y] for y in batch]) - 1) * low
+                     + above[place] * (low * card) + qr * np.arange(len(batch))[:, None])
+            scores = _scores(codes.ravel(), len(batch), qr // r, r, n).tolist()
+            for y, score in zip(batch, scores):
+                cache[(x, tuple(sorted(parents + (y,))))] = score
+                ranking.append((score, y))
+    ranking.sort(reverse=True)
+    cache[(x, parents, "ranked")] = ranking
     return ranking
 
 
@@ -87,11 +122,17 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
         pa: tuple[str, ...] = ()
         p_old = family_score(x, pa, d_star, cache)
         while max_parents is None or len(pa) < max_parents:
-            best = next((t for t in _ranking(x, pa, d_star, cache)
-                         if t[1] in before), None)
-            if best is None or best[0] <= p_old:
+            ranking = cache.get((x, pa, "ranked"))
+            if ranking is None:
+                ranking = _ranking(x, pa, d_star, cache)
+            for p_new, y in ranking:
+                if y in before:
+                    break
+            else:  # no candidate precedes x
                 break
-            p_old, y = best
+            if p_new <= p_old:
+                break
+            p_old = p_new
             pa = tuple(sorted(pa + (y,)))
             edges.append((y, x))
             if on_accept is not None:

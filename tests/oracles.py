@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is computed with plain Python loops, tuples, and
-``math.lgamma``; nothing is shared with the package beyond log-gamma itself.
-The entry points take raw value lists, not package data structures.
+The objective oracles are computed with plain Python loops, tuples, and
+``math.lgamma``; nothing is shared with the package beyond log-gamma itself,
+and they take raw value lists, not package data structures.  The K2
+reference loop is the older greedy search over the package's own family
+scores, so it checks the search, not the score.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+from dvbn.graph import Dag
+from dvbn.structure import family_score, network_score
 
 
 def _log_binom(n: int, r: int) -> float:
@@ -118,3 +123,32 @@ def oracle_mdl(x: list[float], parents: list[tuple[list[int], int]],
                             for r in range(n)]
             fit += mutual_info_times_n(list(cvals), joint_parent)
     return total - fit
+
+
+def k2_pass_reference(d_star, order, max_parents=None, cache=None,
+                      on_accept=None):
+    """The greedy loop before per-family rankings: every step re-scores each
+    remaining predecessor and takes the max of (score, name).  Builds the
+    graph edge by edge and reads its score back through network_score."""
+    g = Dag({x: d_star.cardinalities[x] for x in order})
+    for i, x in enumerate(order):
+        pa = []
+        p_old = family_score(x, pa, d_star, cache)
+        while max_parents is None or len(pa) < max_parents:
+            candidates = [y for y in order[:i] if y not in pa]
+            if not candidates:
+                break
+            scored = [(family_score(x, pa + [y], d_star, cache), y) for y in candidates]
+            best_score, best_y = max(scored, key=lambda t: (t[0], t[1]))
+            if best_score <= p_old:
+                break
+            g = g.add_edge(best_y, x)
+            pa.append(best_y)
+            if on_accept is None:
+                p_old = best_score
+            else:
+                d_star = on_accept(g.edges)
+                if cache is not None:
+                    cache.clear()
+                p_old = family_score(x, pa, d_star, cache)
+    return g.edges, network_score(g, d_star, cache)

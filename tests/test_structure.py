@@ -8,12 +8,14 @@ import pytest
 from conftest import DATA_DIR, random_discrete, random_mixed
 from dvbn import structure
 from dvbn.dataset import (DiscreteDataset, MixedDataset, Variable, load_csv,
-                          load_schema)
+                          load_schema, sorted_view)
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
-from dvbn.multivar import PolicySet
+from dvbn.multivar import PolicySet, apply_policies
+from dvbn.policy import equal_width
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,
                             learn_dvbn, multi_restart, network_score)
+from oracles import k2_pass_reference
 from planted import planted_chain, recalled
 
 
@@ -83,7 +85,6 @@ def test_learn_dvbn_runs_and_scores():
     res = learn_dvbn(d, order=list(d.names))
     assert set(res.policies.policies) == {"X", "Y"}
     # the reported score is the network score of the returned model
-    from dvbn.multivar import apply_policies
     d_star = apply_policies(d, res.policies.policies)
     assert res.score == pytest.approx(network_score(res.graph, d_star))
 
@@ -127,47 +128,18 @@ def test_multi_restart_deterministic_and_best():
     assert {"score", "graph", "policies"} <= set(doc)
 
 
-def _k2_pass_reference(d_star, order, max_parents=None, cache=None,
-                       on_accept=None):
-    """The greedy loop before per-family rankings: every step re-scores each
-    remaining predecessor and takes the max of (score, name).  Builds the
-    graph edge by edge and reads its score back through network_score."""
-    g = Dag({x: d_star.cardinalities[x] for x in order})
-    for i, x in enumerate(order):
-        pa = []
-        p_old = family_score(x, pa, d_star, cache)
-        while max_parents is None or len(pa) < max_parents:
-            candidates = [y for y in order[:i] if y not in pa]
-            if not candidates:
-                break
-            scored = [(family_score(x, pa + [y], d_star, cache), y) for y in candidates]
-            best_score, best_y = max(scored, key=lambda t: (t[0], t[1]))
-            if best_score <= p_old:
-                break
-            g = g.add_edge(best_y, x)
-            pa.append(best_y)
-            if on_accept is None:
-                p_old = best_score
-            else:
-                d_star = on_accept(g.edges)
-                if cache is not None:
-                    cache.clear()
-                p_old = family_score(x, pa, d_star, cache)
-    return g.edges, network_score(g, d_star, cache)
-
-
 @pytest.mark.parametrize("max_parents", [None, 0, 1, 2])
 def test_k2_matches_reference_loop_exactly(monkeypatch, max_parents):
     for seed in range(300):
         d = random_discrete(seed)
         order = [list(d.columns)[i] for i in
                  np.random.default_rng(seed).permutation(len(d.columns))]
-        want = _k2_pass_reference(d, order, max_parents)
+        want = k2_pass_reference(d, order, max_parents)
         for cache in (None, {}):
             assert k2_pass(d, order, max_parents, cache=cache) == want, seed
         got = k2_multi_restart(d, 4, seed=seed, max_parents=max_parents)
         with monkeypatch.context() as m:
-            m.setattr(structure, "k2_pass", _k2_pass_reference)
+            m.setattr(structure, "k2_pass", k2_pass_reference)
             ref = k2_multi_restart(d, 4, seed=seed, max_parents=max_parents)
         assert got[1:] == ref[1:], seed
         assert got[0] == ref[0] and got[0].edges == ref[0].edges, seed
@@ -184,6 +156,65 @@ def test_k2_pass_score_is_network_score_bit_for_bit(max_parents):
         assert score.hex() == network_score(g, d).hex(), seed
 
 
+def _k2_images():
+    """The equal-width k=3 images of Wine and Iris."""
+    for name in ("wine", "iris"):
+        d = load_csv(os.path.join(DATA_DIR, f"{name}.csv"),
+                     load_schema(os.path.join(DATA_DIR, f"{name}.schema.json")))
+        yield apply_policies(d, {x: equal_width(sorted_view(d, x), 3)
+                                 for x in d.continuous_names()})
+
+
+def _assert_rankings_are_family_scores(d, seed, sizes):
+    """Rank afresh every family that K2 visits over 4 random orders: each
+    ranking lists every column x could add, best first, with the score that
+    family_score gives, bit for bit, and keeps that score in the cache.
+    ``sizes`` records the size of each scored batch; returns whether some
+    ranking scored the candidates of one cardinality in several batches."""
+    names = list(d.columns)
+    rng = np.random.default_rng(seed)
+    visited = {}
+    for _ in range(4):
+        k2_pass(d, [names[i] for i in rng.permutation(len(names))], cache=visited)
+    split = False
+    for x, parents, _ in (key for key in visited if len(key) == 3):
+        cache = {}
+        start = len(sizes)
+        ranking = structure._ranking(x, parents, d, cache)
+        assert ranking == sorted(ranking, reverse=True)
+        assert sorted(y for _, y in ranking) == sorted(set(names) - {x, *parents})
+        assert sum(sizes[start:]) == len(ranking)
+        split |= len(sizes) - start > len({d.cardinalities[y] for _, y in ranking})
+        assert cache[(x, parents, "ranked")] is ranking
+        for score, y in ranking:
+            family = tuple(sorted(parents + (y,)))
+            assert score.hex() == cache[(x, family)].hex() == family_score(x, family, d).hex()
+    return split
+
+
+@pytest.mark.parametrize("budget", [None, 1, 40])
+def test_ranking_scores_are_family_scores_bit_for_bit(monkeypatch, budget):
+    # a small budget splits the candidates of one cardinality into several
+    # batches (of one family each at 1)
+    sizes = []
+    scores = structure._scores
+
+    def recorded(codes, batch, q, r, n):
+        # a batch's count table and codes fit the budget unless it holds
+        # one family
+        assert batch == 1 or max(batch * q * r, len(codes)) <= structure.BLOCK_ELEMENTS
+        sizes.append(batch)
+        return scores(codes, batch, q, r, n)
+    monkeypatch.setattr(structure, "_scores", recorded)
+    if budget is not None:
+        monkeypatch.setattr(structure, "BLOCK_ELEMENTS", budget)
+    datasets = [random_discrete(seed) for seed in range(300)] + list(_k2_images())
+    split = [_assert_rankings_are_family_scores(d, seed, sizes)
+             for seed, d in enumerate(datasets)]
+    assert any(split) == (budget is not None)
+    assert (max(sizes) == 1) == (budget == 1)
+
+
 def test_k2_ties_go_to_the_larger_name():
     # a and b are the same column, so x|a and x|b score exactly alike
     rng = np.random.default_rng(0)
@@ -193,7 +224,7 @@ def test_k2_ties_go_to_the_larger_name():
     assert family_score("x", ["a"], d) == family_score("x", ["b"], d)
     for order in (["a", "b", "x"], ["b", "a", "x"]):
         for max_parents in (None, 1):
-            for k2 in (k2_pass, _k2_pass_reference):
+            for k2 in (k2_pass, k2_pass_reference):
                 edges, _ = k2(d, order, max_parents)
                 assert Dag(d.cardinalities, edges).parents("x") == ["b"]
 
@@ -209,7 +240,7 @@ def test_joint_learn_matches_reference_loop_exactly(monkeypatch):
         got = (learn_dvbn(d, order, max_parents=max_parents).to_json(),
                multi_restart(d, 3, seed=seed, max_parents=max_parents).to_json())
         with monkeypatch.context() as m:
-            m.setattr(structure, "k2_pass", _k2_pass_reference)
+            m.setattr(structure, "k2_pass", k2_pass_reference)
             want = (learn_dvbn(d, order, max_parents=max_parents).to_json(),
                     multi_restart(d, 3, seed=seed, max_parents=max_parents).to_json())
         assert got == want, seed
