@@ -8,7 +8,8 @@ condition; each later block is one child given its joint spouse
 configuration.  Count tables over any contiguous interval of sorted rows are
 then cheap bincounts, and interval sweeps can extend counts one row at a
 time.  Every cardinality, the prior's L included, comes from the discretized
-data, not from the graph.
+data, not from the graph.  No code is checked here: a ``DiscreteDataset``
+checks its codes once, when it is made.
 """
 
 from __future__ import annotations
@@ -65,34 +66,29 @@ def family_counts(d_star: DiscreteDataset, x: str, parents) -> np.ndarray:
     return np.bincount(codes, minlength=qr).reshape(qr // r, r)
 
 
-def _checked_column(d_star: DiscreteDataset, name: str, perm: np.ndarray) -> np.ndarray:
-    col = d_star.columns[name][perm]
-    card = d_star.cardinalities[name]
-    if np.any(col < 1) or np.any(col > card):
-        raise ValidationError(f"column {name!r} has values outside 1..{card}")
-    return col
-
-
 def build_context(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn) -> NeighborContext:
     """Flatten x's Markov blanket into sorted-row codes.
 
     ``g`` gives only the blanket's shape; every cardinality, L included, is
     read from ``d_star``.  All variables other than ``x`` must be discrete in
-    ``d_star`` and its rows must align with ``col.permutation``.
+    ``d_star`` and its rows must align with ``col.permutation``; a ``col``
+    with another row count is a :class:`ValidationError`.
     """
+    if col.n != d_star.n_rows:
+        raise ValidationError(f"sorted column has {col.n} rows, the data {d_star.n_rows}")
     parents, children, spouses = g.neighbors_for_discretization(x)
     perm = col.permutation
     n = len(perm)
-    cards = d_star.cardinalities
+    columns, cards = d_star.columns, d_star.cardinalities
     parents = sorted(parents)
     value, j = joint_codes(
-        [_checked_column(d_star, p, perm) for p in parents], [cards[p] for p in parents], n)
+        [columns[p][perm] for p in parents], [cards[p] for p in parents], n)
     blocks = [Block(value, j, np.zeros(n, dtype=np.int64), 1, value)]
     for child, spouse_set in zip(children, spouses):
-        value = _checked_column(d_star, child, perm) - 1
+        value = columns[child][perm] - 1
         names = sorted(spouse_set)
         cond, j_cond = joint_codes(
-            [_checked_column(d_star, s, perm) for s in names], [cards[s] for s in names], n)
+            [columns[s][perm] for s in names], [cards[s] for s in names], n)
         blocks.append(Block(value, cards[child], cond, j_cond, cond + value * j_cond))
     return NeighborContext(n, blocks, max((cards[b] for b in g.markov_blanket(x)), default=2))
 

@@ -77,21 +77,32 @@ class MixedDataset:
 
 @dataclass(frozen=True)
 class DiscreteDataset:
-    """Fully discrete image of a dataset; codes in ``1..cardinality``."""
+    """Fully discrete image of a dataset, valid by construction: columns of
+    unequal length or a code outside ``1..cardinality`` raise when it is made."""
 
     columns: dict[str, np.ndarray]
     cardinalities: dict[str, int]
+
+    def __post_init__(self):
+        n = self.n_rows if self.columns else 0
+        for name, col in self.columns.items():
+            if len(col) != n:
+                raise ValidationError(f"column {name!r} has {len(col)} rows, not {n}")
+        if n:  # one stacked min and max: this runs on every replace_column
+            codes = np.array(list(self.columns.values()))
+            for name, lo, hi in zip(self.columns, codes.min(axis=1).tolist(),
+                                    codes.max(axis=1).tolist()):
+                card = self.cardinalities[name]
+                if lo < 1 or hi > card:
+                    raise ValidationError(f"column {name!r} has values outside 1..{card}")
 
     @property
     def n_rows(self) -> int:
         return len(next(iter(self.columns.values())))
 
     def replace_column(self, name: str, values: np.ndarray, cardinality: int) -> "DiscreteDataset":
-        cols = dict(self.columns)
-        cols[name] = values
-        cards = dict(self.cardinalities)
-        cards[name] = cardinality
-        return DiscreteDataset(cols, cards)
+        return DiscreteDataset({**self.columns, name: values},
+                               {**self.cardinalities, name: cardinality})
 
 
 @dataclass(frozen=True)

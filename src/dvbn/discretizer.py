@@ -56,9 +56,6 @@ def bayes_dp(col: SortedColumn, chunks, L: int):
     back = [0] * (m + 1)
     Wv = np.array(W)
     for v1, v2, K in chunks:
-        if v1 == 1:
-            rS[m - 1] = W[1] + float(K[0, 0])  # single interval over rows 1..s_1
-            v1, K = 2, K[1:]
         # row i: the candidates u = v2-2..0 of v = v1 + i, before S[u]
         cand = np.add(K[:, v2 - 2::-1], Wv[v1:v2, None])
         cand += Lr * (u0[v1 - 1:v2 - 1, None] - u0[v2 - 2::-1])
@@ -175,7 +172,6 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
     # the r = m-k+1 back pointers of layer k start at r(r-1)/2; entry v-k
     # holds m-1-u for the best split u of end v
     backs = np.empty(m * (m - 1) // 2, dtype=np.intp)
-    best_k, best_total = 1, per_k[0]
     for k in range(2, m + 1):
         r = m - k + 1
         # row j: candidates u = m-1 .. k-1 for end v = k+j; s holds layer
@@ -204,11 +200,10 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
                 s[j1:j2] = a[np.arange(j2 - j1), arg]
                 arg += c
                 j1 = j2
-        total_k = pen[k - 1] + float(s[r - 1])
-        per_k.append(total_k)
-        if total_k < best_total:
-            best_k, best_total = k, total_k
+        per_k.append(pen[k - 1] + float(s[r - 1]))
 
+    best_total = min(per_k)  # its first hit is the smaller k
+    best_k = per_k.index(best_total) + 1
     edges = []
     v = m
     for k in range(best_k, 1, -1):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,9 @@ class NotConvergedWarning(UserWarning):
 
 @dataclass
 class PolicySet:
-    policies: dict[str, DiscretizationPolicy] = field(default_factory=dict)
-    pass_count: int = 0
-    converged: bool = True
+    policies: dict[str, DiscretizationPolicy]
+    pass_count: int
+    converged: bool
 
 
 def initial_interval_count(d: MixedDataset) -> int:
@@ -72,10 +72,7 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
     # re-solved.  The graph gives only the blanket's shape.
     blankets = {y: g.markov_blanket(y) for y in cont_vars}
     stale = set(cont_vars)
-    pass_count = 0
-    converged = False
-    while pass_count < MAX_PASSES:
-        pass_count += 1
+    for pass_count in range(1, MAX_PASSES + 1):
         changed = False
         for x in cont_vars:
             if x not in stale:
@@ -88,8 +85,7 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
             policies[x] = pol
             d_star = d_star.replace_column(x, pol.apply_array(d.columns[x]), pol.k)
         if not changed:
-            converged = True
             break
-    if not converged:
+    else:
         warnings.warn(NOT_CONVERGED, NotConvergedWarning, stacklevel=2)
-    return PolicySet(policies, pass_count, converged)
+    return PolicySet(policies, pass_count, not changed)

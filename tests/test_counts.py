@@ -4,6 +4,7 @@ import pytest
 from conftest import random_instance
 from dvbn.counts import build_context, interval_counts
 from dvbn.dataset import DiscreteDataset, sorted_column
+from dvbn.discretizer import discretize_one
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
 
@@ -58,9 +59,22 @@ def test_interval_counts_bad_range():
 
 def test_out_of_range_codes_rejected():
     d_star, g, col = small_instance()
-    bad = d_star.replace_column("P", np.array([1, 2, 3, 2], dtype=np.int64), 2)
     with pytest.raises(ValidationError):
+        bad = d_star.replace_column("P", np.array([1, 2, 3, 2], dtype=np.int64), 2)
         build_context(bad, g, "X", col)
+
+
+def test_sorted_column_must_have_the_data_rows():
+    # a 4-row column against 8 rows of blanket data would be solved on the
+    # first 4 rows alone
+    d_star = DiscreteDataset({"X": np.ones(8, dtype=np.int64),
+                              "P": np.array([1, 2] * 4, dtype=np.int64)}, {"X": 1, "P": 2})
+    g = Dag({"X": None, "P": 2}).add_edge("P", "X")
+    col = sorted_column(np.array([0.1, 0.6, 0.8, 0.2]))
+    with pytest.raises(ValidationError, match="4 rows"):
+        build_context(d_star, g, "X", col)
+    with pytest.raises(ValidationError, match="4 rows"):
+        discretize_one(d_star, g, "X", col)
 
 
 def test_counts_additive_over_split():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR
-from dvbn.dataset import (MixedDataset, Variable, infer_schema, load_csv,
+from dvbn.dataset import (DiscreteDataset, MixedDataset, Variable, infer_schema, load_csv,
                           load_schema, sorted_column)
 from dvbn.errors import DataError, ValidationError
 
@@ -157,6 +157,19 @@ def test_sorted_column_bookkeeping():
 def test_sorted_column_rejects_empty():
     with pytest.raises(ValidationError):
         sorted_column(np.array([]))
+
+
+def test_discrete_dataset_checks_codes_and_rows_when_made():
+    ok = {"a": np.array([1, 2, 2]), "b": np.array([1, 1, 3])}
+    assert DiscreteDataset(ok, {"a": 2, "b": 3}).n_rows == 3
+    with pytest.raises(ValidationError, match="column 'b' has values outside 1..2"):
+        DiscreteDataset(ok, {"a": 2, "b": 2})
+    with pytest.raises(ValidationError, match="column 'a' has values outside 1..2"):
+        DiscreteDataset({"a": np.array([0, 1, 2])}, {"a": 2})
+    with pytest.raises(ValidationError, match="column 'b' has 2 rows, not 3"):
+        DiscreteDataset({"a": [1, 2, 1], "b": [1, 2]}, {"a": 2, "b": 2})
+    with pytest.raises(ValidationError, match="column 'a'"):
+        DiscreteDataset(ok, {"a": 2, "b": 3}).replace_column("a", np.array([1, 2, 5]), 4)
 
 
 def test_subset_rows_and_names():

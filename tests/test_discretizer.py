@@ -320,6 +320,25 @@ def test_mdl_dp_tie_prefers_larger_split():
     assert (edges, total, per_k) == _mdl_dp_reference(col, hmdl, ctx)
 
 
+@pytest.mark.parametrize("pen, best_k", [([10.0, 1.0, 0.0, 10.0], 2),
+                                          ([3.0, 2.0, 1.0, 0.0], 1)])
+def test_mdl_dp_tied_totals_pick_the_smaller_k(monkeypatch, pen, best_k):
+    # every interval costs 1, so k intervals cost k and the totals are
+    # pen[k-1] + k: exactly tied at k = 2, 3 in the first case and at every
+    # k in the second.  The smallest tied k must win.
+    col = sorted_column(np.array([0.0, 1.0, 2.0, 3.0]))
+    d_star = DiscreteDataset({"X": np.ones(4, dtype=np.int64),
+                              "P": np.array([1, 2, 1, 2], dtype=np.int64)},
+                             {"X": 1, "P": 2})
+    g = Dag({"X": None, "P": 2}).add_edge("P", "X")
+    ctx = build_context(d_star, g, "X", col)
+    monkeypatch.setattr(discretizer, "_penalties", lambda m, n, a, b: list(pen))
+    edges, total, per_k = mdl_dp(col, kernel_chunks(np.triu(np.ones((4, 4)))), ctx)
+    assert per_k == [p + k for k, p in enumerate(pen, start=1)]
+    assert total == per_k[best_k - 1] == min(per_k)
+    assert len(edges) == best_k - 1
+
+
 def _bayes_dp_reference(col: SortedColumn, hm: np.ndarray, L: int):
     """The Bayesian DP as first written: a scalar loop over every candidate
     split u of every end v, keeping the last u on ties."""

@@ -43,8 +43,9 @@ def test_loglik_discrete_manual():
 def test_loglik_discrete_rejects_out_of_range():
     train = DiscreteDataset({"a": np.array([1, 2], dtype=np.int64)}, {"a": 2})
     model = fit_parameters(train, Dag({"a": 2}))
-    bad = DiscreteDataset({"a": np.array([3], dtype=np.int64)}, {"a": 2})
     with pytest.raises(ValidationError):
+        # valid for its own cardinality 3, not for the model's 2
+        bad = DiscreteDataset({"a": np.array([3], dtype=np.int64)}, {"a": 3})
         loglik_discrete(model, bad)
 
 

@@ -116,6 +116,14 @@ def test_multi_restart_checks_the_method_on_discrete_data():
         multi_restart(d, 1, 0, method="nonsense")
 
 
+def test_multi_restart_refuses_codes_outside_the_cardinality():
+    d = MixedDataset([Variable("a", "discrete", 2), Variable("b", "discrete", 2)],
+                     {"a": np.array([1, 2, 3, 1], dtype=np.int64),
+                      "b": np.array([1, 1, 2, 2], dtype=np.int64)})
+    with pytest.raises(ValidationError, match="column 'a' has values outside 1..2"):
+        multi_restart(d, 1, 0)
+
+
 def test_multi_restart_deterministic_and_best():
     d, _ = random_mixed(7)
     r1 = multi_restart(d, 3, seed=1)
