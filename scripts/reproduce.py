@@ -4,11 +4,12 @@ computes them, with five sha256 digests over the package's outputs.
     python3 scripts/reproduce.py && git diff --exit-code RESULTS.json
 
 is the one output check: it fails when a change moves any output that the
-ledger or the digests cover.  The script takes about 20 s of CPU on a 2-core
-machine (the n=2000 MDL solve of the ``solvers`` digest is about 2.4 s of
-that).  It imports the package from ``src/`` and the generators of
-``tests/`` (``conftest.py``, ``planted.py`` and ``synthetic.py``) from the
-checkout it sits in, so the digests also move when those generators do.
+ledger or the digests cover.  The script takes about 30 s of CPU on a
+shared 2-core machine (28-34 s over five runs; the n=2000 MDL kernel and DP
+of the ``solvers`` digest take about 4 s of that).  It imports the package
+from ``src/`` and the generators of ``tests/`` (``conftest.py``,
+``planted.py`` and ``synthetic.py``) from the checkout it sits in, so the
+digests also move when those generators do.
 
 Each ledger entry records its protocol (dataset, methods, fold count and
 seed, restarts, ``max_parents`` and where the structure comes from) beside
@@ -80,8 +81,7 @@ from dvbn.discretizer import bayes_dp, mdl_dp, mdl_objective  # noqa: E402
 from dvbn.evaluation import cross_validate, naive_bayes_protocol  # noqa: E402
 from dvbn.graph import Dag  # noqa: E402
 from dvbn.multivar import (MAX_PASSES, NotConvergedWarning,  # noqa: E402
-                           apply_policies, discretize_all)
-from dvbn.policy import equal_width  # noqa: E402
+                           discretize_all, equal_width_set)
 from dvbn.scoring import h_matrix, mdl_h_matrix, mdl_interval_term, objective  # noqa: E402
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,  # noqa: E402
                             multi_restart)
@@ -101,8 +101,7 @@ def load_bundled(name: str):
 
 def equal_width_image(d):
     """``d`` with every continuous variable cut into K2_IMAGE_K equal widths."""
-    return apply_policies(d, {x: equal_width(sorted_view(d, x), K2_IMAGE_K)
-                              for x in d.continuous_names()})
+    return equal_width_set(d, K2_IMAGE_K).image
 
 
 def counting_unconverged(fn, *args, **kwargs):

@@ -18,7 +18,7 @@ from .evaluation import (CvReport, TrainedModel, cross_validate, fit_parameters,
                          naive_bayes_protocol, naive_bayes_structure)
 from .graph import Dag
 from .multivar import (PolicySet, apply_policies, discretize_all,
-                       initial_interval_count)
+                       equal_width_set, initial_interval_count)
 from .policy import (DiscretizationPolicy, equal_width, midpoint_candidates,
                      policy_from_lambda, representations)
 from .scoring import objective
@@ -32,8 +32,8 @@ __all__ = [
     "DiscreteDataset", "DiscretizationPolicy", "DvbnError", "LearnResult",
     "MixedDataset", "PolicySet", "SortedColumn", "TrainedModel",
     "ValidationError", "Variable", "apply_policies", "cross_validate",
-    "discretize_all", "discretize_one", "equal_width", "family_score",
-    "fit_parameters", "fold_indices", "infer_schema",
+    "discretize_all", "discretize_one", "equal_width", "equal_width_set",
+    "family_score", "fit_parameters", "fold_indices", "infer_schema",
     "initial_interval_count", "k2_multi_restart", "k2_pass", "learn_dvbn",
     "load_csv", "load_schema", "loglik_density", "loglik_discrete",
     "midpoint_candidates", "multi_restart",

@@ -244,6 +244,8 @@ def load_csv(path: str, schema: list[dict] | None = None) -> MixedDataset:
                 if not np.isfinite(vals[i]):
                     raise DataError(f"{path}: row {row_numbers[i]}, column {name!r}: "
                                     f"non-finite value")
+            if not np.isfinite(float(vals.max()) - float(vals.min())):
+                raise DataError(f"{path}: column {name!r}: its range overflows a float")
             variables.append(Variable(name, "continuous"))
             columns[name] = vals
         else:

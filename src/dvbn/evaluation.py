@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import family_counts, joint_codes
-from .dataset import DiscreteDataset, MixedDataset, sorted_column
+from .dataset import DiscreteDataset, MixedDataset
 from .errors import ValidationError
 from .graph import Dag
-from .multivar import PolicySet, apply_policies, discretize_all
-from .policy import DiscretizationPolicy, equal_width
+from .multivar import PolicySet, apply_policies, discretize_all, equal_width_set
+from .policy import DiscretizationPolicy
 from .structure import multi_restart
 
 
@@ -120,17 +120,15 @@ def train_policies(train: MixedDataset, g: Dag, method: str,
     ``uniform_k`` intervals for ``method="uniform"``, else
     :func:`discretize_all`."""
     if method == "uniform":
-        pols = {x: equal_width(sorted_column(train.columns[x]), uniform_k)
-                for x in train.continuous_names()}
-        return PolicySet(pols, 0, True)
+        return equal_width_set(train, uniform_k)
     return discretize_all(train, g, method=method)
 
 
-def evaluate_fold(train: MixedDataset, test: MixedDataset, g: Dag,
+def evaluate_fold(test: MixedDataset, g: Dag,
                   policies: PolicySet) -> tuple[float, TrainedModel, DiscreteDataset]:
-    """Normalized held-out log-likelihood of one fold, with the model fit on
-    the training rows and the discretized test rows."""
-    model = fit_parameters(apply_policies(train, policies.policies), g)
+    """Normalized log-likelihood of one fold's ``test`` rows under a model
+    fit on ``policies.image``, with that model and the discretized test rows."""
+    model = fit_parameters(policies.image, g)
     d_star_test = apply_policies(test, policies.policies)
     ll = loglik_discrete(model, d_star_test) + loglik_density(test, policies.policies)
     return ll / test.n_rows, model, d_star_test
@@ -156,7 +154,7 @@ def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
             res = multi_restart(train, restarts, seed=seed + 1000 + f,
                                 max_parents=max_parents, method=method)
             g, pset = res.graph, res.policies
-        scores.append(evaluate_fold(train, test, g, pset)[0])
+        scores.append(evaluate_fold(test, g, pset)[0])
     return CvReport(method=method, folds=scores, seed=seed,
                     protocol="fixed" if structure is not None else "joint")
 
@@ -200,7 +198,7 @@ def naive_bayes_protocol(d: MixedDataset, class_var: str, folds: int = 10,
         accs, lls = [], []
         for train, test in _fold_splits(d, folds, seed):
             pset = train_policies(train, g, method, uniform_k)
-            ll, model, d_star_test = evaluate_fold(train, test, g, pset)
+            ll, model, d_star_test = evaluate_fold(test, g, pset)
             pred = _nb_predict(model, d_star_test, class_var, features)
             accs.append(float(np.mean(pred == test.columns[class_var])))
             lls.append(ll)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,8 @@ class PolicySet:
     policies: dict[str, DiscretizationPolicy]
     pass_count: int
     converged: bool
+    #: the data the policies were solved on, discretized by them
+    image: DiscreteDataset = field(repr=False, compare=False)
 
 
 def initial_interval_count(d: MixedDataset) -> int:
@@ -51,6 +53,12 @@ def apply_policies(d: MixedDataset, policies: dict[str, DiscretizationPolicy]) -
     return DiscreteDataset(columns, cards)
 
 
+def equal_width_set(d: MixedDataset, k: int) -> PolicySet:
+    """``k`` equal-width intervals for every continuous variable of ``d``."""
+    policies = {x: equal_width(sorted_view(d, x), k) for x in d.continuous_names()}
+    return PolicySet(policies, 0, True, apply_policies(d, policies))
+
+
 def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicySet:
     """Leaves-to-root passes of single-variable discretization over every
     continuous variable of ``d`` until the edge lists stop changing, starting
@@ -58,13 +66,12 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
     """
     check_method(method)
     cont_vars = g.reverse_topological(d.continuous_names())
-    if not cont_vars:
-        return PolicySet({}, 0, True)
-
     k0 = initial_interval_count(d)
     cols = {x: sorted_view(d, x) for x in cont_vars}
     policies = {x: equal_width(cols[x], k0) for x in cont_vars}
     d_star = apply_policies(d, policies)
+    if not cont_vars:
+        return PolicySet({}, 0, True, d_star)
 
     # A solve reads only the variable's blanket in d_star (columns,
     # cardinalities, L), so a variable whose blanket is unchanged since its
@@ -88,4 +95,4 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
             break
     else:
         warnings.warn(NOT_CONVERGED, NotConvergedWarning, stacklevel=2)
-    return PolicySet(policies, pass_count, not changed)
+    return PolicySet(policies, pass_count, not changed, d_star)

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counts import column_codes
-from .dataset import DiscreteDataset, MixedDataset, sorted_view
+from .dataset import DiscreteDataset, MixedDataset
 from .discretizer import check_method
 from .errors import ValidationError
 from .graph import Dag
-from .multivar import (PolicySet, apply_policies, discretize_all,
+from .multivar import (PolicySet, discretize_all, equal_width_set,
                        initial_interval_count)
-from .policy import equal_width
 from .scoring import BLOCK_ELEMENTS, log_gamma_table
 
 
@@ -180,27 +179,26 @@ def learn_dvbn(d: MixedDataset, order: list[str],
     check_method(method)
     if sorted(order) != sorted(d.names):
         raise ValidationError("order must permute all dataset variables")
-    k0 = initial_interval_count(d)
-    start = {x: equal_width(sorted_view(d, x), k0) for x in d.continuous_names()}
-    pset = PolicySet(start, 0, True)
-    d_star = apply_policies(d, start)
+    pset = seed = equal_width_set(d, initial_interval_count(d))
 
     def rediscretize(edges) -> DiscreteDataset:
-        nonlocal pset, d_star
+        nonlocal pset
         g = Dag(d.names, edges)
         linked = [v for v in d.variables
                   if v.kind == "discrete" or g.markov_blanket(v.name)]
         d_linked = MixedDataset(linked, {v.name: d.columns[v.name] for v in linked})
         fit = discretize_all(d_linked, g, method=method)
-        pset = PolicySet({**start, **fit.policies}, fit.pass_count, fit.converged)
-        d_star = apply_policies(d, pset.policies)
-        return d_star
+        image = DiscreteDataset({**seed.image.columns, **fit.image.columns},
+                                {**seed.image.cardinalities, **fit.image.cardinalities})
+        pset = PolicySet({**seed.policies, **fit.policies}, fit.pass_count,
+                         fit.converged, image)
+        return image
 
     cache: dict = {}
-    edges, _ = k2_pass(d_star, order, max_parents=max_parents, cache=cache,
-                       on_accept=rediscretize if start else None)
-    g = Dag(dict(d_star.cardinalities), edges)
-    return LearnResult(g, pset, network_score(g, d_star, cache), restart_seed)
+    edges, _ = k2_pass(seed.image, order, max_parents=max_parents, cache=cache,
+                       on_accept=rediscretize if seed.policies else None)
+    g = Dag(dict(pset.image.cardinalities), edges)
+    return LearnResult(g, pset, network_score(g, pset.image, cache), restart_seed)
 
 
 def _random_orders(names: list[str], n_restarts: int, seed: int) -> list[list[str]]:

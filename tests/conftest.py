@@ -81,6 +81,16 @@ def random_mixed(seed: int, n_max: int = 14):
     return d, g
 
 
+def assert_same_image(got: DiscreteDataset, want: DiscreteDataset) -> None:
+    """``got`` equals ``want`` column for column and cardinality for
+    cardinality, in the same column order."""
+    assert list(got.columns) == list(want.columns)
+    assert list(got.cardinalities.items()) == list(want.cardinalities.items())
+    for name, col in want.columns.items():
+        assert got.columns[name].dtype == col.dtype, name
+        assert np.array_equal(got.columns[name], col), name
+
+
 def random_discrete(seed: int) -> DiscreteDataset:
     """Small discrete dataset whose columns are random, noisy copies of an
     earlier column, or exact duplicates of one (so family scores tie)."""

@@ -201,6 +201,19 @@ def test_ragged_csv_row_is_data_error(workdir):
     assert "data error" in r.output and "2 fields" in r.output
 
 
+def test_overflowing_range_is_data_error(tmp_path):
+    # every value is finite, but max - min exceeds the largest double
+    x = np.clip(np.random.default_rng(0).normal(size=40), -1.7, 1.7) * 1e308
+    data = tmp_path / "huge.csv"
+    data.write_text("x\n" + "".join(f"{float(v)!r}\n" for v in x))
+    r = run(["evaluate", "--data", str(data), "--method", "bayes", "--folds", "4",
+             "--seed", "0", "--out", str(tmp_path / "o")])
+    assert r.exit_code == 3, r.output
+    assert "data error" in r.output and "column 'x'" in r.output
+    assert "range overflows" in r.output
+    assert not (tmp_path / "o" / "cv_bayes.json").exists()
+
+
 def test_non_utf8_csv_is_data_error(workdir):
     bad = workdir / "latin1.csv"
     bad.write_bytes("a,x,y\n1,0.5,0.1\n2,0.7,caf\u00e9\n".encode("latin-1"))

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR
-from dvbn.dataset import load_csv, load_schema, sorted_view
+from dvbn.dataset import load_csv, load_schema
 from dvbn.evaluation import naive_bayes_structure
-from dvbn.multivar import apply_policies, discretize_all
-from dvbn.policy import equal_width
+from dvbn.multivar import discretize_all, equal_width_set
 from dvbn.structure import k2_multi_restart, multi_restart
 from planted import planted_chain
 
@@ -22,9 +21,7 @@ def _bundled(name):
 
 def _k2_structure(d):
     """Best of 1000-restart K2 (seed 0) on the equal-width k=3 image of ``d``."""
-    image = apply_policies(d, {x: equal_width(sorted_view(d, x), 3)
-                               for x in d.continuous_names()})
-    return k2_multi_restart(image, 1000, 0)[0]
+    return k2_multi_restart(equal_width_set(d, 3).image, 1000, 0)[0]
 
 
 def _permuted(d, seed):

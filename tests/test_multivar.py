@@ -4,16 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, random_mixed
+from conftest import DATA_DIR, assert_same_image, random_mixed
 from dvbn import multivar
-from dvbn.dataset import (MixedDataset, Variable, load_csv, load_schema,
-                          sorted_column, sorted_view)
+from dvbn.dataset import MixedDataset, Variable, load_csv, load_schema, sorted_view
 from dvbn.discretizer import discretize_one
 from dvbn.errors import ValidationError
 from dvbn.evaluation import naive_bayes_structure
 from dvbn.graph import Dag
 from dvbn.multivar import (PolicySet, apply_policies, discretize_all,
-                           initial_interval_count)
+                           equal_width_set, initial_interval_count)
 from dvbn.policy import DiscretizationPolicy, equal_width
 from dvbn.structure import k2_multi_restart
 
@@ -60,7 +59,19 @@ def test_discretize_all_empty_is_noop():
     d = MixedDataset([Variable("A", "discrete", 2), Variable("B", "discrete", 3)],
                      {"A": np.array([1, 2, 1]), "B": np.array([3, 1, 2])})
     g = Dag({"A": 2, "B": 3}).add_edge("A", "B")
-    assert discretize_all(d, g) == PolicySet({}, 0, True)
+    pset = discretize_all(d, g)
+    assert (pset.policies, pset.pass_count, pset.converged) == ({}, 0, True)
+    assert_same_image(pset.image, apply_policies(d, {}))
+
+
+def test_policy_set_repr_and_eq_ignore_the_image():
+    d, g = random_mixed(0)
+    pset = discretize_all(d, g)
+    other = PolicySet(pset.policies, pset.pass_count, pset.converged,
+                      equal_width_set(d, 5).image)
+    assert other.image.cardinalities != pset.image.cardinalities
+    assert other == pset and repr(other) == repr(pset)
+    assert "image" not in repr(pset)
 
 
 def test_discretize_all_checks_the_method_with_nothing_to_solve():
@@ -104,7 +115,7 @@ def _full_resolve_reference(d, g, cont_vars, method="bayes"):
         if not changed:
             converged = True
             break
-    return PolicySet(policies, pass_count, converged)
+    return PolicySet(policies, pass_count, converged, d_star)
 
 
 def _assert_same_run(d, g, order, method):
@@ -115,6 +126,8 @@ def _assert_same_run(d, g, order, method):
     assert (got.pass_count, got.converged) == (ref.pass_count, ref.converged)
     assert {x: (p.edges, p.domain_min, p.domain_max) for x, p in got.policies.items()} \
         == {x: (p.edges, p.domain_min, p.domain_max) for x, p in ref.policies.items()}
+    # the returned image is the data under the returned policies
+    assert_same_image(got.image, apply_policies(d, got.policies))
     return got
 
 
@@ -135,8 +148,7 @@ def test_stale_only_passes_match_full_resolve_on_wine(method):
     d = load_csv(os.path.join(DATA_DIR, "wine.csv"),
                  load_schema(os.path.join(DATA_DIR, "wine.schema.json")))
     cont = d.continuous_names()
-    pols = {v: equal_width(sorted_column(d.columns[v]), 3) for v in cont}
-    g, _, _ = k2_multi_restart(apply_policies(d, pols), 5, seed=0)
+    g, _, _ = k2_multi_restart(equal_width_set(d, 3).image, 5, seed=0)
     assert any(p in cont and c in cont for p, c in g.edges)
     _assert_same_run(d, g, g.reverse_topological(set(cont)), method)
 

@@ -5,14 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, random_discrete, random_mixed
+from conftest import DATA_DIR, assert_same_image, random_discrete, random_mixed
 from dvbn import structure
-from dvbn.dataset import (DiscreteDataset, MixedDataset, Variable, load_csv,
-                          load_schema, sorted_view)
+from dvbn.dataset import DiscreteDataset, MixedDataset, Variable, load_csv, load_schema
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
-from dvbn.multivar import PolicySet, apply_policies
-from dvbn.policy import equal_width
+from dvbn.multivar import apply_policies, equal_width_set, initial_interval_count
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,
                             learn_dvbn, multi_restart, network_score)
 from oracles import k2_pass_reference
@@ -89,6 +87,18 @@ def test_learn_dvbn_runs_and_scores():
     assert res.score == pytest.approx(network_score(res.graph, d_star))
 
 
+@pytest.mark.parametrize("method", ["bayes", "mdl"])
+def test_learned_image_is_the_data_under_the_learned_policies(method):
+    d = planted_chain(500, 0)
+    res = multi_restart(d, 1, 0, max_parents=2, method=method)
+    # Z is unlinked, so it keeps its equal-width seed in the policies and image
+    assert not res.graph.markov_blanket("Z")
+    seed = equal_width_set(d, initial_interval_count(d))
+    assert res.policies.policies["Z"] == seed.policies["Z"]
+    assert_same_image(res.policies.image, apply_policies(d, res.policies.policies))
+    assert res.score == network_score(res.graph, res.policies.image)
+
+
 def test_learn_dvbn_order_validation():
     d, _ = random_mixed(6)
     with pytest.raises(ValidationError):
@@ -105,7 +115,9 @@ def test_multi_restart_on_discrete_data_is_plain_k2():
     assert res.graph.edges
     assert sorted(res.graph.edges) == sorted(g.edges)
     assert (res.score, res.restart_seed) == (score, restart)
-    assert res.policies == PolicySet({}, 0, True)
+    pset = res.policies
+    assert (pset.policies, pset.pass_count, pset.converged) == ({}, 0, True)
+    assert_same_image(pset.image, dd)
 
 
 def test_multi_restart_checks_the_method_on_discrete_data():
@@ -169,8 +181,7 @@ def _k2_images():
     for name in ("wine", "iris"):
         d = load_csv(os.path.join(DATA_DIR, f"{name}.csv"),
                      load_schema(os.path.join(DATA_DIR, f"{name}.schema.json")))
-        yield apply_policies(d, {x: equal_width(sorted_view(d, x), 3)
-                                 for x in d.continuous_names()})
+        yield equal_width_set(d, 3).image
 
 
 def _assert_rankings_are_family_scores(d, seed, sizes):
