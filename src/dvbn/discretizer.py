@@ -13,11 +13,18 @@ import numpy as np
 
 from .counts import NeighborContext, build_context
 from .dataset import DiscreteDataset, SortedColumn
-from .errors import ValidationError
+from .errors import DataError, ValidationError
 from .graph import Dag
 from .policy import DiscretizationPolicy, representations
-from .scoring import (BLOCK_ELEMENTS, check_dense_budget, h_matrix, mdl_h_matrix,
-                      mdl_interval_term, neg_log1m_exp)
+from .scoring import (BLOCK_ELEMENTS, h_matrix, mdl_h_matrix, mdl_interval_term,
+                      neg_log1m_exp)
+
+#: Largest total size, in bytes, of the dense m×m float64 arrays that the MDL
+#: DP may allocate (m = unique values of the column): 1 GiB admits its arrays
+#: for up to 9,455 unique values.  Larger requests raise :class:`DataError`
+#: before anything is allocated.  The kernels stream in chunks, and the
+#: Bayesian solve holds no m×m array and has no such bound.
+MAX_DENSE_BYTES = 1 << 30
 
 
 def _policy(col: SortedColumn, edges: tuple[float, ...] = ()) -> DiscretizationPolicy:
@@ -34,7 +41,8 @@ def bayes_dp(col: SortedColumn, chunks, L: int):
     ``S[v]`` the best objective over rows ``1..s_v`` (``S[0] = 0``),
     ``back[v]`` its last split boundary u (0 = a single interval) and ``W[v]``
     the edge penalty after unique v (``W[m] = 0``).  Ties prefer the larger
-    split index (fewer, later edges).
+    split index (fewer, later edges).  A gap whose ratio ``L·gap/range``
+    underflows to 0 has no edge penalty and is a :class:`DataError`.
 
     Each chunk is consumed as it arrives: it forms every
     ``(W[v] + K[i, u]) + Lr·(u_v - u_u)`` of its ends at once, last split
@@ -50,7 +58,10 @@ def bayes_dp(col: SortedColumn, chunks, L: int):
     Lr = L / rng
 
     # W[1..m-1]; each argument L·gap/rng rounds exactly as in scalar floats
-    W = [0.0, *map(neg_log1m_exp, (L * np.diff(u0) / rng).tolist()), 0.0]
+    z = (L * np.diff(u0) / rng).tolist()
+    if min(z) == 0.0:
+        raise DataError("a gap between its values underflows relative to its range")
+    W = [0.0, *map(neg_log1m_exp, z), 0.0]
 
     rS = np.zeros(m + 1)  # rS[m-v] = S[v]
     back = [0] * (m + 1)
@@ -153,7 +164,10 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
     """
     m = col.m
     u0 = col.uniques
-    check_dense_budget(m, mdl_dp_elements(m), "MDL layers")
+    need = 8 * mdl_dp_elements(m)
+    if need > MAX_DENSE_BYTES:
+        raise DataError(f"a column with {m} unique values needs {need / 2**30:.1f} GiB for "
+                        f"the MDL layers, over the {MAX_DENSE_BYTES / 2**30:g} GiB budget")
     # hT[v-1, i] covers the interval that ends at v from split u = m-1-i, so
     # the candidates of one end are a contiguous row and argmin's first hit
     # is the larger u.  Splits past the end (u > v-1) are meaningless: poison
@@ -229,5 +243,8 @@ def discretize_one(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn,
         return _policy(col)
     ctx = build_context(d_star, g, x, col)
     if method == "bayes":
-        return _policy(col, bayes_dp(col, h_matrix(ctx, col), ctx.L)[0])
+        try:
+            return _policy(col, bayes_dp(col, h_matrix(ctx, col), ctx.L)[0])
+        except DataError as e:
+            raise DataError(f"variable {x!r}: {e}") from e
     return _policy(col, mdl_dp(col, mdl_h_matrix(ctx, col), ctx)[0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import family_counts, joint_codes
+from .counts import column_codes, family_counts
 from .dataset import DiscreteDataset, MixedDataset
 from .errors import ValidationError
 from .graph import Dag
@@ -46,17 +46,18 @@ def fit_parameters(d_star: DiscreteDataset, g: Dag) -> TrainedModel:
 
 
 def loglik_discrete(model: TrainedModel, d_star_test: DiscreteDataset) -> float:
-    """Log-likelihood of discretized test rows under the trained network."""
+    """Log-likelihood of discretized test rows under the trained network.
+    Each variable's cardinality in ``d_star_test`` must be the model's: the
+    dataset's own check then keeps every code inside the model's tables."""
+    for x, beta in model.beta.items():
+        r = beta.shape[1]
+        if d_star_test.cardinalities[x] != r:
+            raise ValidationError(f"test column {x!r} has cardinality "
+                                  f"{d_star_test.cardinalities[x]}, the model {r}")
     total = 0.0
-    for x in model.beta:
-        r = model.beta[x].shape[1]
-        col = d_star_test.columns[x]
-        if np.any(col < 1) or np.any(col > r):
-            raise ValidationError(f"test column {x!r} outside 1..{r}")
-        pa = model.parents[x]
-        codes, _ = joint_codes([d_star_test.columns[p] for p in pa],
-                               [model.beta[p].shape[1] for p in pa], d_star_test.n_rows)
-        total += float(model.log_table(x)[codes, col - 1].sum())
+    for x, pa in model.parents.items():
+        codes, _ = column_codes(d_star_test, pa)
+        total += float(model.log_table(x)[codes, d_star_test.columns[x] - 1].sum())
     return total
 
 

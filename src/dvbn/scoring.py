@@ -20,13 +20,14 @@ is bit for bit the one-boundary cumulative sum.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .counts import NeighborContext, interval_counts
 from .dataset import SortedColumn
-from .errors import DataError, ValidationError
+from .errors import ValidationError
 from .policy import representations
 
 #: Elements per chunk of the vectorized kernel builder (and so per block of
@@ -38,38 +39,10 @@ from .policy import representations
 #: m·n ≤ 16,000 run in one chunk.
 BLOCK_ELEMENTS = 16_000
 
-#: Largest total size, in bytes, of the dense m×m float64 arrays that one MDL
-#: solve step may allocate (m = unique values of the column): 1 GiB admits an
-#: MDL kernel of up to 11,585 unique values and the MDL DP's arrays up to
-#: 9,455.  Larger requests raise :class:`DataError` before anything is
-#: allocated.  The Bayesian solve holds no m×m array and has no such bound.
-MAX_DENSE_BYTES = 1 << 30
-
 
 # ---------------------------------------------------------------------------
 # Tables over integer counts
 # ---------------------------------------------------------------------------
-
-class _CountTable:
-    """``f(k)`` for the integers k = 0, 1, 2, ..., grown by doubling when a
-    larger k is asked for.  Entries are written once and never change, so a
-    value does not depend on which counts were asked for before it."""
-
-    def __init__(self, entries):
-        self._entries = entries  # entries(lo, hi): f(k) for k = lo..hi-1
-        self._values = np.empty(0)
-
-    def __call__(self, top: int) -> np.ndarray:
-        """A read-only array that holds ``f(k)`` at index k for k = 0..top
-        (and possibly beyond)."""
-        have = len(self._values)
-        if top >= have:
-            size = max(top + 1, 2 * have)
-            values = np.concatenate((self._values, self._entries(have, size)))
-            values.flags.writeable = False
-            self._values = values
-        return self._values
-
 
 def _logs(lo: int, hi: int) -> np.ndarray:
     """ln k for k = lo..hi-1 (lo ≥ 1) by ``math.log``, the C library's log.
@@ -77,11 +50,10 @@ def _logs(lo: int, hi: int) -> np.ndarray:
     return np.fromiter(map(math.log, range(lo, hi)), float, hi - lo)
 
 
-def _klogk_entries(lo: int, hi: int) -> np.ndarray:
-    """k·ln k for k = lo..hi-1, with 0·ln 0 = 0."""
-    out = np.zeros(hi - lo)
-    first = max(lo, 1)
-    out[first - lo:] = np.arange(first, hi) * _logs(first, hi)
+def _klogk_entries(size: int) -> np.ndarray:
+    """k·ln k for k = 0..size-1, with 0·ln 0 = 0."""
+    out = np.zeros(size)
+    out[1:] = np.arange(1, size) * _logs(1, size)
     return out
 
 
@@ -95,18 +67,16 @@ _LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
 _LGAM_LS2PI = 0.91893853320467274178  # ln √(2π)
 
 
-def _log_gamma_entries(lo: int, hi: int) -> np.ndarray:
-    """ln Γ(k) for k = lo..hi-1 as Cephes ``lgam`` computes it: the log of
+def _log_gamma_entries(size: int) -> np.ndarray:
+    """ln Γ(k) for k = 0..size-1 as Cephes ``lgam`` computes it: the log of
     the exact factorial (k-1)! below 13 (ln Γ(0) = inf), and above it the
     Stirling series, with a shorter tail from 1000 on and none above 1e8."""
-    out = np.empty(hi - lo)
-    small = range(lo, min(hi, 13))
-    out[:len(small)] = [math.log(math.factorial(k - 1)) if k else math.inf
-                        for k in small]
-    first = max(lo, 13)
-    if first < hi:
-        x = np.arange(first, hi, dtype=float)
-        q = (x - 0.5) * _logs(first, hi) - x + _LGAM_LS2PI
+    out = np.empty(size)
+    out[:13] = [math.log(math.factorial(k - 1)) if k else math.inf
+                for k in range(min(size, 13))]
+    if size > 13:
+        x = np.arange(13, size, dtype=float)
+        q = (x - 0.5) * _logs(13, size) - x + _LGAM_LS2PI
         p = 1.0 / (x * x)
         poly = _LGAM_A[0]
         for a in _LGAM_A[1:]:
@@ -114,14 +84,33 @@ def _log_gamma_entries(lo: int, hi: int) -> np.ndarray:
         tail = ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
                 + 0.0833333333333333333333)
         series = np.where(x >= 1000.0, tail, poly) / x
-        out[first - lo:] = np.where(x > 1.0e8, q, q + series)
+        out[13:] = np.where(x > 1.0e8, q, q + series)
     return out
 
 
+#: Sizes of each table over integer counts that are kept at once.
+TABLE_SIZES = 16
+
+
+def _count_table(entries):
+    """``table(top)``: a read-only array that holds ``f(k)`` at index k for
+    k = 0..top, where ``entries(size)`` gives ``f(k)`` for k = 0..size-1.
+    Each entry is computed on its own, so tables of different sizes agree
+    bit for bit where they overlap.  The last :data:`TABLE_SIZES` sizes are
+    memoized: that bounds memory when many sizes occur (cross-validation
+    folds, many cardinalities)."""
+    @functools.lru_cache(maxsize=TABLE_SIZES)
+    def table(top: int) -> np.ndarray:
+        values = entries(top + 1)
+        values.flags.writeable = False
+        return values
+    return table
+
+
 #: ``log_gamma_table(top)[k]`` is ln Γ(k), bit-equal to ``gammaln(k)``.
-log_gamma_table = _CountTable(_log_gamma_entries)
+log_gamma_table = _count_table(_log_gamma_entries)
 #: ``klogk_table(top)[k]`` is k·ln k, bit-equal to ``xlogy(k, k)``.
-klogk_table = _CountTable(_klogk_entries)
+klogk_table = _count_table(_klogk_entries)
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -228,17 +217,6 @@ def _boundary_counts(codes: np.ndarray, j: int, step: np.ndarray, m: int):
     return lambda rows, U: G[rows, None] - CT[codes[rows], :U]
 
 
-def check_dense_budget(m: int, elements: int, what: str) -> None:
-    """Refuse, before allocating, the ``elements`` 8-byte array elements that
-    a step needs for a column of m unique values when their bytes would
-    exceed :data:`MAX_DENSE_BYTES`."""
-    need = 8 * elements
-    if need > MAX_DENSE_BYTES:
-        raise DataError(
-            f"a column with {m} unique values needs {need / 2**30:.1f} GiB for "
-            f"the {what}, over the {MAX_DENSE_BYTES / 2**30:g} GiB budget")
-
-
 def _kernel_chunks(ctx: NeighborContext, col: SortedColumn, block_term):
     """Per-row terms summed over each boundary interval, as the end-major
     chunks described in the module docstring, over the blocks of ``ctx``
@@ -303,26 +281,15 @@ def h_matrix(ctx: NeighborContext, col: SortedColumn):
     return _kernel_chunks(ctx, col, block_term)
 
 
-def _phi(c: np.ndarray) -> np.ndarray:
-    """(c+1)ln(c+1) - c ln c at integer counts c ≥ 0 (0 ln 0 = 0)."""
-    c = np.asarray(c)
-    t = klogk_table(int(c.max(initial=0)) + 1)
-    return t[c + 1] - t[c]
-
-
 def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn):
     """Negated per-interval mutual-information contributions, as chunks laid
     out like :func:`h_matrix`'s.  Summed over a partition this equals
-    ``-n·[I(X,Pa) + Σ_j I(C_j, Pa(C_j))]`` up to terms constant in the policy.
-
-    The cubic MDL DP reads every entry in every layer, so it holds the whole
-    m×m kernel: a column whose kernel would exceed :data:`MAX_DENSE_BYTES`
-    is refused here, before any chunk is built."""
-    check_dense_budget(col.m, col.m * col.m, "MDL kernel")
+    ``-n·[I(X,Pa) + Σ_j I(C_j, Pa(C_j))]`` up to terms constant in the policy."""
     log_n = math.log(ctx.n)
-    # counts in -n..-1 index this table from its end; their terms, whose
-    # log_n - log_m is not 0, are then replaced by 0
-    phi = _phi(np.arange(ctx.n + 1))
+    # phi[c] = (c+1)ln(c+1) - c ln c for the counts c = 0..n; counts in
+    # -n..-1 index it from its end, and their terms, whose log_n - log_m is
+    # not 0, are then replaced by 0
+    phi = np.diff(klogk_table(ctx.n + 1))
 
     def block_term(value, j):
         log_m = np.log(np.maximum(np.bincount(value, minlength=j), 1))

@@ -53,14 +53,13 @@ def network_score(g: Dag, d_star: DiscreteDataset, cache: dict | None = None) ->
     return sum(family_score(x, g.parents(x), d_star, cache) for x in g.nodes)
 
 
-def _ranking(x: str, parents: tuple, d_star: DiscreteDataset, cache: dict) -> list:
+def _ranking(x: str, parents: tuple, d_star: DiscreteDataset) -> list:
     """Every parent ``x`` could add to ``parents``, as ``(family score, name)``
-    pairs best first, kept in ``cache`` under ``(x, parents, "ranked")``.
+    pairs best first; each score is bit for bit :func:`family_score`'s.
 
     The candidates are scored in batches of equal-size count tables.  A
     batch holds at most :data:`BLOCK_ELEMENTS` table cells and as many codes
-    (rows times families), or one family if that is larger, and each
-    family's score is kept in ``cache`` as :func:`family_score` keeps it."""
+    (rows times families), or one family if that is larger."""
     r, n = d_star.cardinalities[x], d_star.n_rows
     # A candidate y at place i among the sorted parents splits the family's
     # codes into those of [x, *parents[:i]] below y and of parents[i:] above.
@@ -83,11 +82,8 @@ def _ranking(x: str, parents: tuple, d_star: DiscreteDataset, cache: dict) -> li
             codes = (below[place] + (np.stack([d_star.columns[y] for y in batch]) - 1) * low
                      + above[place] * (low * card) + qr * np.arange(len(batch))[:, None])
             scores = _scores(codes.ravel(), len(batch), qr // r, r, n).tolist()
-            for y, score in zip(batch, scores):
-                cache[(x, tuple(sorted(parents + (y,))))] = score
-                ranking.append((score, y))
+            ranking += zip(scores, batch)
     ranking.sort(reverse=True)
-    cache[(x, parents, "ranked")] = ranking
     return ranking
 
 
@@ -98,11 +94,13 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
     predecessor repeatedly while the family score strictly improves.
 
     Each family ``(x, sorted parents)`` ranks every column it could add once,
-    by ``(score, name)`` best first, and keeps the ranking in ``cache`` beside
-    the family scores (a local dict when ``cache`` is None).  A step takes the
-    first ranked candidate that precedes ``x`` in ``order``: the best score,
-    ties to the larger name.  Rankings do not depend on the order, so the
-    restarts of :func:`k2_multi_restart` share them.
+    by ``(score, name)`` best first, and keeps the ranking in ``cache`` under
+    ``(x, parents, "ranked")``, beside the family scores that
+    :func:`family_score` keeps there (a local dict when ``cache`` is None).
+    A step takes the first ranked candidate that precedes ``x`` in
+    ``order``: the best score, ties to the larger name.  Rankings do not
+    depend on the order, so the restarts of :func:`k2_multi_restart` share
+    them.
 
     Returns the accepted edges in acceptance order and the sum over ``order``
     of each node's last family score, which without ``on_accept`` is bit for
@@ -123,7 +121,7 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
         while max_parents is None or len(pa) < max_parents:
             ranking = cache.get((x, pa, "ranked"))
             if ranking is None:
-                ranking = _ranking(x, pa, d_star, cache)
+                ranking = cache[(x, pa, "ranked")] = _ranking(x, pa, d_star)
             for p_new, y in ranking:
                 if y in before:
                     break

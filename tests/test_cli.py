@@ -214,6 +214,25 @@ def test_overflowing_range_is_data_error(tmp_path):
     assert not (tmp_path / "o" / "cv_bayes.json").exists()
 
 
+@pytest.mark.parametrize("method, code", [("bayes", 3), ("mdl", 0)])
+def test_underflowing_gap_is_data_error_for_bayes_only(tmp_path, method, code):
+    # the gap from 0 to 5e-324 is 0 relative to a range near 1.7e300, so the
+    # Bayesian prior has no penalty for an edge there; MDL reads only ranks
+    x = np.concatenate((np.random.default_rng(0).uniform(1e299, 1.7e300, 38),
+                        [0.0, 5e-324]))
+    data = tmp_path / "tiny_gap.csv"
+    data.write_text("a,x\n" + "".join(f"{1 if v > 1e300 else 2},{float(v)!r}\n"
+                                      for v in x))
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"nodes": [{"name": "a"}, {"name": "x"}], "edges": [["a", "x"]]}))
+    r = run(["discretize", "--data", str(data), "--structure", str(tmp_path / "g.json"),
+             "--method", method, "--out", str(tmp_path / "o")])
+    assert r.exit_code == code, r.output
+    if code:
+        assert "data error: variable 'x'" in r.output
+        assert "gap between its values underflows relative to its range" in r.output
+
+
 def test_non_utf8_csv_is_data_error(workdir):
     bad = workdir / "latin1.csv"
     bad.write_bytes("a,x,y\n1,0.5,0.1\n2,0.7,caf\u00e9\n".encode("latin-1"))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (blanket_instance, dense_kernel, kernel_chunks, random_instance,
+from conftest import (blanket_instance, dense_kernel, random_instance,
                       random_policy)
 from dvbn import discretizer, scoring
 from dvbn.counts import build_context
@@ -11,7 +11,7 @@ from dvbn.dataset import DiscreteDataset, sorted_column
 from dvbn.errors import DataError, ValidationError
 from dvbn.graph import Dag
 from dvbn.policy import DiscretizationPolicy
-from dvbn.scoring import (_occurrence_before, _phi, h, h_matrix, log_binom,
+from dvbn.scoring import (_klogk_entries, _occurrence_before, h, h_matrix, log_binom,
                           log_multinomial, mdl_h_matrix, mdl_interval_term,
                           neg_log1m_exp, objective, prior_terms)
 from oracles import oracle_mdl, oracle_objective
@@ -64,18 +64,18 @@ def test_klogk_table_is_k_log_k():
     assert table[1:300_001].tolist() == [k * math.log(k) for k in range(1, 300_001)]
 
 
-@pytest.mark.parametrize("entries", [scoring._log_gamma_entries,
-                                     scoring._klogk_entries])
-def test_grown_table_keeps_its_entries(entries):
-    table = scoring._CountTable(entries)
-    small = table(20).copy()
-    assert len(small) == 21
-    assert len(table(21)) == 42  # doubles
-    grown = table(5000)
-    assert np.array_equal(grown[:21], small)
-    assert np.array_equal(grown, entries(0, len(grown)))  # as if built at once
-    with pytest.raises(ValueError):
-        grown[3] = 0.0
+@pytest.mark.parametrize("table", [scoring.log_gamma_table, scoring.klogk_table],
+                         ids=["log_gamma", "klogk"])
+def test_tables_of_any_size_agree_and_are_read_only(table):
+    # more sizes than are memoized, so some are built afresh on the way back
+    tops = [20, 21, 5000, 13, *range(100, 100 + 2 * scoring.TABLE_SIZES), 20]
+    largest = table(5000).copy()
+    for top in tops:
+        t = table(top)
+        assert len(t) == top + 1
+        assert t.tobytes() == largest[:top + 1].tobytes()
+        with pytest.raises(ValueError):
+            t[3] = 0.0
 
 
 def test_neg_log1m_exp():
@@ -201,11 +201,15 @@ def _h_matrix_reference(ctx, col):
 
 def _mdl_h_matrix_reference(ctx, col):
     log_n = math.log(ctx.n)
+    klogk = _klogk_entries(ctx.n + 1)
+
+    def phi(c):  # (c+1)ln(c+1) - c ln c
+        return klogk[c + 1] - klogk[c]
 
     def block_term(value, j):
         log_m = np.log(np.maximum(np.bincount(value, minlength=j), 1))
         return lambda c_cell, c_cond, a: -(
-            _phi(c_cell) - log_m[value[a:]] - _phi(c_cond) + log_n)
+            phi(c_cell) - log_m[value[a:]] - phi(c_cond) + log_n)
     return _kernel_matrix_reference(ctx, col, block_term)
 
 
@@ -261,13 +265,10 @@ def test_kernels_match_reference_in_small_blocks(monkeypatch, budget):
 
 
 def test_dense_arrays_over_budget_are_refused_before_allocation():
-    # m = 20000 unique values: one m x m float64 MDL kernel would take 3.2 GB
+    # m = 20000 unique values: the MDL DP's m x m float64 kernel alone would
+    # take 3.2 GB, so the solve is refused before its first chunk is built
     m = 20000
-    assert 8 * m * m > scoring.MAX_DENSE_BYTES
+    assert 8 * m * m > discretizer.MAX_DENSE_BYTES
     d_star, g, col = blanket_instance(m, 0)
-    ctx = build_context(d_star, g, "X", col)
-    with pytest.raises(DataError, match="20000 unique values"):
-        mdl_h_matrix(ctx, col)
-    # a zero-stride view stands in for the kernel: nothing m x m is allocated
-    with pytest.raises(DataError, match="MDL layers"):
-        discretizer.mdl_dp(col, kernel_chunks(np.broadcast_to(0.0, (m, m))), ctx)
+    with pytest.raises(DataError, match="20000 unique values.*MDL layers"):
+        discretizer.discretize_one(d_star, g, "X", col, method="mdl")

@@ -185,29 +185,30 @@ def _k2_images():
 
 
 def _assert_rankings_are_family_scores(d, seed, sizes):
-    """Rank afresh every family that K2 visits over 4 random orders: each
-    ranking lists every column x could add, best first, with the score that
-    family_score gives, bit for bit, and keeps that score in the cache.
-    ``sizes`` records the size of each scored batch; returns whether some
-    ranking scored the candidates of one cardinality in several batches."""
+    """Every ranking that K2 stores over 4 random orders lists every column x
+    could add, best first, with the score that family_score gives, bit for
+    bit.  Ranking each family afresh records the size of each scored batch
+    in ``sizes``; returns whether some ranking scored the candidates of one
+    cardinality in several batches."""
     names = list(d.columns)
     rng = np.random.default_rng(seed)
     visited = {}
     for _ in range(4):
         k2_pass(d, [names[i] for i in rng.permutation(len(names))], cache=visited)
+    # beside the rankings, K2 keeps only the parentless scores it reads
+    assert all(len(key) == 3 or key[1] == () for key in visited)
     split = False
     for x, parents, _ in (key for key in visited if len(key) == 3):
-        cache = {}
-        start = len(sizes)
-        ranking = structure._ranking(x, parents, d, cache)
+        ranking = visited[(x, parents, "ranked")]
         assert ranking == sorted(ranking, reverse=True)
         assert sorted(y for _, y in ranking) == sorted(set(names) - {x, *parents})
+        start = len(sizes)
+        assert structure._ranking(x, parents, d) == ranking
         assert sum(sizes[start:]) == len(ranking)
         split |= len(sizes) - start > len({d.cardinalities[y] for _, y in ranking})
-        assert cache[(x, parents, "ranked")] is ranking
         for score, y in ranking:
             family = tuple(sorted(parents + (y,)))
-            assert score.hex() == cache[(x, family)].hex() == family_score(x, family, d).hex()
+            assert score.hex() == family_score(x, family, d).hex()
     return split
 
 
