@@ -7,9 +7,12 @@ under a condition.  Block 0 is the joint parent configuration under a single
 condition; each later block is one child given its joint spouse
 configuration.  Count tables over any contiguous interval of sorted rows are
 then cheap bincounts, and interval sweeps can extend counts one row at a
-time.  Every cardinality, the prior's L included, comes from the discretized
-data, not from the graph.  No code is checked here: a ``DiscreteDataset``
-checks its codes once, when it is made.
+time.  One mixed-radix encoder, :func:`prefix_codes`, codes every joint
+configuration: a blanket block or a family takes its last entry through
+:func:`joint_codes`, and a K2 ranking reads every prefix of one pass over
+the family.  Every cardinality, the prior's L included, comes from the
+discretized data, not from the graph.  No code is checked here: a
+``DiscreteDataset`` checks its codes once, when it is made.
 """
 
 from __future__ import annotations
@@ -42,15 +45,27 @@ class NeighborContext:
     L: int               # largest cardinality in the blanket (2 if empty)
 
 
+def prefix_codes(columns: list[np.ndarray], cards: list[int],
+                 n: int) -> tuple[list[np.ndarray], list[int]]:
+    """Mixed-radix codes of every prefix of ``n`` rows of 1-based columns,
+    the first column least significant: entry i of the code list and of the
+    radix list belong to ``columns[:i]``, so entry 0 is all zeros with radix
+    1 and the last entry is the full code."""
+    codes, radix = [np.zeros(n, dtype=np.int64)], [1]
+    for col, card in zip(columns, cards):
+        code = (col - 1) * radix[-1]
+        code += codes[-1]
+        codes.append(code)
+        radix.append(radix[-1] * card)
+    return codes, radix
+
+
 def joint_codes(columns: list[np.ndarray], cards: list[int], n: int) -> tuple[np.ndarray, int]:
     """Mixed-radix code of ``n`` rows of 1-based columns, the first column
-    least significant, and the number of joint configurations."""
-    codes = np.zeros(n, dtype=np.int64)
-    radix = 1
-    for col, card in zip(columns, cards):
-        codes += (col - 1) * radix
-        radix *= card
-    return codes, radix
+    least significant, and the number of joint configurations: the last
+    entry of :func:`prefix_codes`."""
+    codes, radix = prefix_codes(columns, cards, n)
+    return codes[-1], radix[-1]
 
 
 def column_codes(d_star: DiscreteDataset, names) -> tuple[np.ndarray, int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import column_codes
+from .counts import column_codes, prefix_codes
 from .dataset import DiscreteDataset, MixedDataset
 from .discretizer import check_method
 from .errors import ValidationError
@@ -57,30 +57,38 @@ def _ranking(x: str, parents: tuple, d_star: DiscreteDataset) -> list:
     """Every parent ``x`` could add to ``parents``, as ``(family score, name)``
     pairs best first; each score is bit for bit :func:`family_score`'s.
 
+    One encoder pass over ``[x, *parents]`` gives every candidate's codes.
     The candidates are scored in batches of equal-size count tables.  A
     batch holds at most :data:`BLOCK_ELEMENTS` table cells and as many codes
     (rows times families), or one family if that is larger."""
     r, n = d_star.cardinalities[x], d_star.n_rows
-    # A candidate y at place i among the sorted parents splits the family's
-    # codes into those of [x, *parents[:i]] below y and of parents[i:] above.
-    below, radix = zip(*(column_codes(d_star, (x, *parents[:i]))
-                        for i in range(len(parents) + 1)))
-    above = [column_codes(d_star, parents[i:])[0] for i in range(len(parents) + 1)]
-    below, above, radix = np.stack(below), np.stack(above), np.array(radix)
+    columns, cards = d_star.columns, d_star.cardinalities
+    # below[i] codes [x, *parents[:i]] with radix[i] configurations, and
+    # full - below[i] = radix[i] * code(parents[i:]).  A candidate y at place
+    # i among the sorted parents goes between them: its family's code is
+    # below[i] + (y - 1) * radix[i] + (full - below[i]) * card_y.
+    family = (x, *parents)
+    below, radix = prefix_codes([columns[v] for v in family],
+                                [cards[v] for v in family], n)
+    below, radix = np.array(below[1:]), np.array(radix[1:])
+    full = below[-1]
     by_card: dict[int, list[str]] = {}
-    for y in d_star.columns:
+    for y in columns:
         if y != x and y not in parents:
-            by_card.setdefault(d_star.cardinalities[y], []).append(y)
+            by_card.setdefault(cards[y], []).append(y)
     ranking = []
     for card, ys in by_card.items():
         qr = int(radix[-1]) * card
+        # every term but y * radix[i], with each batch slot's offset added later
+        base = full * card - (card - 1) * below - radix[:, None]
         step = max(1, BLOCK_ELEMENTS // max(qr, n))
         for start in range(0, len(ys), step):
             batch = ys[start:start + step]
-            place = np.array([bisect(parents, y) for y in batch])
-            low = radix[place, None]
-            codes = (below[place] + (np.stack([d_star.columns[y] for y in batch]) - 1) * low
-                     + above[place] * (low * card) + qr * np.arange(len(batch))[:, None])
+            place = [bisect(parents, y) for y in batch]
+            codes = np.array([columns[y] for y in batch])
+            codes *= radix[place, None]
+            codes += base[place]
+            codes += qr * np.arange(len(batch))[:, None]
             scores = _scores(codes.ravel(), len(batch), qr // r, r, n).tolist()
             ranking += zip(scores, batch)
     ranking.sort(reverse=True)

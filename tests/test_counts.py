@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_instance
-from dvbn.counts import build_context, interval_counts
+from dvbn.counts import build_context, interval_counts, joint_codes, prefix_codes
 from dvbn.dataset import DiscreteDataset, sorted_column
 from dvbn.discretizer import discretize_one
 from dvbn.errors import ValidationError
@@ -91,3 +93,21 @@ def test_counts_additive_over_split():
         assert len(left) == len(right) == len(whole) == len(ctx.blocks)
         for lt, rt, wt in zip(left, right, whole):
             assert np.array_equal(lt + rt, wt)
+
+
+def test_every_prefix_code_is_the_joint_code_of_that_prefix():
+    # cardinality-1 columns (as the joint path makes them) included
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        cards = [int(c) for c in rng.integers(1, 6, int(rng.integers(0, 7)))]
+        columns = [rng.integers(1, c + 1, n).astype(np.int64) for c in cards]
+        codes, radix = prefix_codes(columns, cards, n)
+        assert len(codes) == len(radix) == len(columns) + 1
+        for i in range(len(columns) + 1):
+            want, want_radix = joint_codes(columns[:i], cards[:i], n)
+            assert np.array_equal(codes[i], want) and radix[i] == want_radix, (seed, i)
+            # the first column least significant, written out by hand
+            by_hand = [sum((int(col[row]) - 1) * math.prod(cards[:j])
+                           for j, col in enumerate(columns[:i])) for row in range(n)]
+            assert codes[i].tolist() == by_hand and radix[i] == math.prod(cards[:i])

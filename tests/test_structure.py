@@ -1,12 +1,13 @@
 import json
 import math
 import os
+from bisect import bisect
 
 import numpy as np
 import pytest
 
 from conftest import DATA_DIR, assert_same_image, random_discrete, random_mixed
-from dvbn import structure
+from dvbn import counts, structure
 from dvbn.dataset import DiscreteDataset, MixedDataset, Variable, load_csv, load_schema
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
@@ -184,12 +185,39 @@ def _k2_images():
         yield equal_width_set(d, 3).image
 
 
-def _assert_rankings_are_family_scores(d, seed, sizes):
-    """Every ranking that K2 stores over 4 random orders lists every column x
-    could add, best first, with the score that family_score gives, bit for
-    bit.  Ranking each family afresh records the size of each scored batch
-    in ``sizes``; returns whether some ranking scored the candidates of one
-    cardinality in several batches."""
+def _with_constant_columns(seed):
+    """random_discrete with cardinality-1 columns, as the joint path makes
+    them, sorted first and last among the names."""
+    d = random_discrete(seed)
+    ones = np.ones(d.n_rows, dtype=np.int64)
+    return DiscreteDataset({"V0": ones, **d.columns, "Vz": ones.copy()},
+                           {"V0": 1, **d.cardinalities, "Vz": 1})
+
+
+def _wide_discrete(seed, n=120):
+    """Ten columns: five random bits, their 32-valued code and a noisy copy
+    of it, and exact copies of three bits.  K2 gives the code five parents or
+    more, so a candidate lands at every place among them."""
+    rng = np.random.default_rng(seed)
+    bits = [rng.integers(1, 3, n) for _ in range(5)]
+    code = sum((b - 1) << i for i, b in enumerate(bits)) + 1
+    noisy = np.where(rng.random(n) < 0.1, rng.integers(1, 33, n), code)
+    names = ["V" + c for c in rng.permutation(list("abcdefghij"))]
+    cols = [*bits, code, noisy, *bits[:3]]
+    cards = [2] * 5 + [32, 32] + [2] * 3
+    return DiscreteDataset({v: c.astype(np.int64) for v, c in zip(names, cols)},
+                           dict(zip(names, cards)))
+
+
+def _ranking_datasets():
+    yield from (random_discrete(seed) for seed in range(300))
+    yield from _k2_images()
+    yield from (_with_constant_columns(seed) for seed in range(60))
+    yield from (_wide_discrete(seed) for seed in range(10))
+
+
+def _stored_rankings(d, seed):
+    """The rankings that K2 stores over 4 random orders, by family."""
     names = list(d.columns)
     rng = np.random.default_rng(seed)
     visited = {}
@@ -197,9 +225,19 @@ def _assert_rankings_are_family_scores(d, seed, sizes):
         k2_pass(d, [names[i] for i in rng.permutation(len(names))], cache=visited)
     # beside the rankings, K2 keeps only the parentless scores it reads
     assert all(len(key) == 3 or key[1] == () for key in visited)
+    return {(x, parents): visited[key] for key in visited if len(key) == 3
+            for x, parents, _ in [key]}
+
+
+def _assert_rankings_are_family_scores(d, seed, sizes):
+    """Every ranking that K2 stores over 4 random orders lists every column x
+    could add, best first, with the score that family_score gives, bit for
+    bit.  Ranking each family afresh records the size of each scored batch
+    in ``sizes``; returns whether some ranking scored the candidates of one
+    cardinality in several batches."""
+    names = list(d.columns)
     split = False
-    for x, parents, _ in (key for key in visited if len(key) == 3):
-        ranking = visited[(x, parents, "ranked")]
+    for (x, parents), ranking in _stored_rankings(d, seed).items():
         assert ranking == sorted(ranking, reverse=True)
         assert sorted(y for _, y in ranking) == sorted(set(names) - {x, *parents})
         start = len(sizes)
@@ -228,11 +266,66 @@ def test_ranking_scores_are_family_scores_bit_for_bit(monkeypatch, budget):
     monkeypatch.setattr(structure, "_scores", recorded)
     if budget is not None:
         monkeypatch.setattr(structure, "BLOCK_ELEMENTS", budget)
-    datasets = [random_discrete(seed) for seed in range(300)] + list(_k2_images())
     split = [_assert_rankings_are_family_scores(d, seed, sizes)
-             for seed, d in enumerate(datasets)]
-    assert any(split) == (budget is not None)
+             for seed, d in enumerate(_ranking_datasets())]
+    # the wide data need several batches even at the default budget
+    assert any(split[:-10]) == (budget is not None) and any(split[-10:])
     assert (max(sizes) == 1) == (budget == 1)
+
+
+def test_ranking_data_cover_constant_columns_and_every_place():
+    # the data of the bit-for-bit check rank a cardinality-1 x and
+    # cardinality-1 candidates, and put a candidate at each of the six places
+    # among five parents
+    places, constant_x, constant_y = set(), False, False
+    for seed, d in enumerate(_ranking_datasets()):
+        for (x, parents), ranking in _stored_rankings(d, seed).items():
+            constant_x |= d.cardinalities[x] == 1
+            constant_y |= any(d.cardinalities[y] == 1 for _, y in ranking)
+            places |= {(len(parents), bisect(parents, y)) for _, y in ranking}
+    assert constant_x and constant_y
+    assert {(5, i) for i in range(6)} <= places
+    assert max(size for size, _ in places) >= 6
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_k2_restarts_on_the_bundled_images_match_the_reference_loop(monkeypatch, seed):
+    for d in _k2_images():
+        graph, score, restart = k2_multi_restart(d, 50, seed)
+        with monkeypatch.context() as m:
+            m.setattr(structure, "k2_pass", k2_pass_reference)
+            ref_graph, ref_score, ref_restart = k2_multi_restart(d, 50, seed)
+        assert graph.edges == ref_graph.edges
+        assert score.hex() == ref_score.hex() and restart == ref_restart
+
+
+def test_each_ranking_takes_one_encoder_pass(monkeypatch):
+    # the encoder runs once per K2 cache entry: once for each stored ranking
+    # and once for each parentless score, and never for a cache hit
+    calls = []
+    encode = counts.prefix_codes
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return encode(*args)
+    caches = []
+    k2 = structure.k2_pass
+
+    def keep_cache(*args, **kwargs):
+        caches.append(kwargs["cache"])
+        return k2(*args, **kwargs)
+    for module in (counts, structure):
+        monkeypatch.setattr(module, "prefix_codes", counted)
+    monkeypatch.setattr(structure, "k2_pass", keep_cache)
+    wine = next(_k2_images())
+    k2_multi_restart(wine, 1000, 0)
+    cache, = {id(c): c for c in caches}.values()
+    rankings = [key for key in cache if len(key) == 3]
+    assert len(rankings) > 500
+    assert len(calls) == len(cache) == len(rankings) + len(wine.columns)
+    # each ranking's pass encodes x and its parents together
+    assert sorted(calls) == sorted([1] * len(wine.columns)
+                                   + [1 + len(parents) for _, parents, _ in rankings])
 
 
 def test_k2_ties_go_to_the_larger_name():
