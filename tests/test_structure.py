@@ -225,8 +225,7 @@ def _stored_rankings(d, seed):
         k2_pass(d, [names[i] for i in rng.permutation(len(names))], cache=visited)
     # beside the rankings, K2 keeps only the parentless scores it reads
     assert all(len(key) == 3 or key[1] == () for key in visited)
-    return {(x, parents): visited[key] for key in visited if len(key) == 3
-            for x, parents, _ in [key]}
+    return {key[:2]: visited[key] for key in visited if len(key) == 3}
 
 
 def _assert_rankings_are_family_scores(d, seed, sizes):
