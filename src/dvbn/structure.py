@@ -95,6 +95,64 @@ def _ranking(x: str, parents: tuple, d_star: DiscreteDataset) -> list:
     return ranking
 
 
+def _k2_walk(d_star: DiscreteDataset, orders: np.ndarray,
+             max_parents: int | None, cache: dict,
+             on_accept=None) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """Greedy K2 over every row of ``orders`` (column indices) at once; see
+    :func:`k2_pass` for the search and ``on_accept``, which needs one order.
+
+    For each node, all orders start in one group at parent set ``()``.  A
+    group reads its state's ranking and finds, for each of its orders, the
+    first ranked candidate that precedes the node; the orders whose candidate
+    does not strictly raise the family score stop there, and the rest split
+    by candidate into groups at the grown parent sets.  Each order's score is
+    the sum, in that order, of its nodes' last family scores.
+
+    Returns the edges of every split in acceptance order, which for a single
+    order are its accepted edges, and every order's score."""
+    names = list(d_star.columns)
+    index = {v: i for i, v in enumerate(names)}
+    n_orders, length = orders.shape
+    every = np.arange(n_orders)
+    pos = np.full((n_orders, len(names)), length)
+    pos[every[:, None], orders] = np.arange(length)
+    last = np.zeros((n_orders, len(names)))
+    edges: list[tuple[str, str]] = []
+    for j in orders[0]:
+        x = names[j]
+        groups = [((), every, family_score(x, (), d_star, cache))]
+        while groups:
+            pa, rows, p_old = groups.pop()
+            last[rows, j] = p_old
+            if max_parents is not None and len(pa) >= max_parents:
+                continue
+            ranking = cache.get((x, pa, "ranked"))
+            if ranking is None:
+                ranking = cache[(x, pa, "ranked")] = _ranking(x, pa, d_star)
+            # the candidates that strictly raise the score lead the ranking
+            better = [index[y] for p_new, y in ranking if p_new > p_old]
+            if not better:
+                continue
+            ahead = pos[rows[:, None], better] < pos[rows, j][:, None]
+            moves = ahead.any(axis=1)
+            first = ahead[moves].argmax(axis=1)
+            rows = rows[moves]
+            for k in np.unique(first):
+                p_new, y = ranking[k]
+                group = rows[first == k]
+                grown = tuple(sorted(pa + (y,)))
+                edges.append((y, x))
+                if on_accept is not None:
+                    d_star = on_accept(list(edges))
+                    cache.clear()
+                    p_new = family_score(x, grown, d_star, cache)
+                groups.append((grown, group, p_new))
+    score = np.zeros(n_orders)
+    for column in np.take_along_axis(last, orders, axis=1).T:
+        score += column
+    return edges, score
+
+
 def k2_pass(d_star: DiscreteDataset, order: list[str],
             max_parents: int | None = None, cache: dict | None = None,
             on_accept=None) -> tuple[list[tuple[str, str]], float]:
@@ -103,7 +161,7 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
 
     Each family ``(x, sorted parents)`` ranks every column it could add once,
     by ``(score, name)`` best first, and keeps the ranking in ``cache`` under
-    ``(x, parents, "ranked")``, beside the family scores that
+    ``(x, parents, "ranked")``, beside the parentless family scores that
     :func:`family_score` keeps there (a local dict when ``cache`` is None).
     A step takes the first ranked candidate that precedes ``x`` in
     ``order``: the best score, ties to the larger name.  Rankings do not
@@ -118,35 +176,10 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
     continue on; the cache, rankings included, is then cleared and the node's
     family rescored on the new data.
     """
-    if cache is None:
-        cache = {}
-    edges: list[tuple[str, str]] = []
-    before: set[str] = set()
-    score = 0
-    for x in order:
-        pa: tuple[str, ...] = ()
-        p_old = family_score(x, pa, d_star, cache)
-        while max_parents is None or len(pa) < max_parents:
-            ranking = cache.get((x, pa, "ranked"))
-            if ranking is None:
-                ranking = cache[(x, pa, "ranked")] = _ranking(x, pa, d_star)
-            for p_new, y in ranking:
-                if y in before:
-                    break
-            else:  # no candidate precedes x
-                break
-            if p_new <= p_old:
-                break
-            p_old = p_new
-            pa = tuple(sorted(pa + (y,)))
-            edges.append((y, x))
-            if on_accept is not None:
-                d_star = on_accept(list(edges))
-                cache.clear()
-                p_old = family_score(x, pa, d_star, cache)
-        score += p_old
-        before.add(x)
-    return edges, score
+    index = {v: i for i, v in enumerate(d_star.columns)}
+    edges, score = _k2_walk(d_star, np.array([[index[v] for v in order]], dtype=int),
+                            max_parents, {} if cache is None else cache, on_accept)
+    return edges, float(score[0])
 
 
 @dataclass
@@ -207,32 +240,37 @@ def learn_dvbn(d: MixedDataset, order: list[str],
     return LearnResult(g, pset, network_score(g, pset.image, cache), restart_seed)
 
 
-def _random_orders(names: list[str], n_restarts: int, seed: int) -> list[list[str]]:
+def _random_orders(n: int, n_restarts: int, seed: int) -> np.ndarray:
+    """``n_restarts`` random orders of ``range(n)``, one per row: the rows of
+    as many successive ``rng.permutation(n)`` calls, drawn in one call."""
     if n_restarts < 1:
         raise ValidationError("n_restarts must be >= 1")
     rng = np.random.default_rng(seed)
-    return [[names[i] for i in rng.permutation(len(names))] for _ in range(n_restarts)]
+    return rng.permuted(np.tile(np.arange(n), (n_restarts, 1)), axis=1)
 
 
 def multi_restart(d: MixedDataset, n_restarts: int, seed: int,
                   max_parents: int | None = None, method: str = "bayes") -> LearnResult:
     """Best of ``n_restarts`` random variable orderings; ties keep the
     earliest restart."""
-    return max((learn_dvbn(d, order, max_parents=max_parents, method=method,
-                           restart_seed=r)
-                for r, order in enumerate(_random_orders(d.names, n_restarts, seed))),
+    orders = _random_orders(len(d.names), n_restarts, seed)
+    return max((learn_dvbn(d, [d.names[i] for i in order], max_parents=max_parents,
+                           method=method, restart_seed=r)
+                for r, order in enumerate(orders)),
                key=lambda res: res.score)
 
 
 def k2_multi_restart(d_star: DiscreteDataset, n_restarts: int, seed: int,
                      max_parents: int | None = None) -> tuple[Dag, float, int]:
-    """Plain K2 restarts on already-discrete data with a shared score cache;
-    the best ``(graph, score, restart)``, ties to the earliest restart.  Only
-    the best restart's graph is built."""
+    """Plain K2 restarts on already-discrete data, walked at once with a
+    shared score cache; the best ``(graph, score, restart)``, ties to the
+    earliest restart.  Only the best restart's graph is built: its edges come
+    from :func:`k2_pass` over its order, which finds every ranking it reads
+    in the cache."""
     cache: dict = {}
-    orders = _random_orders(list(d_star.columns), n_restarts, seed)
-    (edges, score), r = max(((k2_pass(d_star, order, max_parents=max_parents,
-                                      cache=cache), r)
-                             for r, order in enumerate(orders)),
-                            key=lambda t: t[0][1])
-    return Dag({x: d_star.cardinalities[x] for x in orders[r]}, edges), score, r
+    names = list(d_star.columns)
+    orders = _random_orders(len(names), n_restarts, seed)
+    r = int(np.argmax(_k2_walk(d_star, orders, max_parents, cache)[1]))
+    order = [names[i] for i in orders[r]]
+    edges, score = k2_pass(d_star, order, max_parents=max_parents, cache=cache)
+    return Dag({x: d_star.cardinalities[x] for x in order}, edges), score, r

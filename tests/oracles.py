@@ -3,8 +3,8 @@
 The objective oracles are computed with plain Python loops, tuples, and
 ``math.lgamma``; nothing is shared with the package beyond log-gamma itself,
 and they take raw value lists, not package data structures.  The K2
-reference loop is the older greedy search over the package's own family
-scores, so it checks the search, not the score.
+reference loops are the older greedy search over the package's own family
+scores, one restart at a time, so they check the search, not the score.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+import numpy as np
 
 from dvbn.graph import Dag
 from dvbn.structure import family_score, network_score
@@ -152,3 +154,19 @@ def k2_pass_reference(d_star, order, max_parents=None, cache=None,
                     cache.clear()
                 p_old = family_score(x, pa, d_star, cache)
     return g.edges, network_score(g, d_star, cache)
+
+
+def k2_multi_restart_reference(d_star, n_restarts, seed, max_parents=None):
+    """Restarts one at a time: each order from its own ``rng.permutation``
+    call, searched by :func:`k2_pass_reference` over a shared score cache.
+    Returns the best ``(graph, score, restart)``, ties to the earliest."""
+    names = list(d_star.columns)
+    rng = np.random.default_rng(seed)
+    cache = {}
+    best = None
+    for r in range(n_restarts):
+        order = [names[i] for i in rng.permutation(len(names))]
+        edges, score = k2_pass_reference(d_star, order, max_parents, cache)
+        if best is None or score > best[1]:
+            best = (Dag({x: d_star.cardinalities[x] for x in order}, edges), score, r)
+    return best

@@ -14,7 +14,7 @@ from dvbn.graph import Dag
 from dvbn.multivar import apply_policies, equal_width_set, initial_interval_count
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,
                             learn_dvbn, multi_restart, network_score)
-from oracles import k2_pass_reference
+from oracles import k2_multi_restart_reference, k2_pass_reference
 from planted import planted_chain, recalled
 
 
@@ -149,8 +149,15 @@ def test_multi_restart_deterministic_and_best():
     assert {"score", "graph", "policies"} <= set(doc)
 
 
+def _assert_same_restarts(got, want, label):
+    """Two ``(graph, score, restart)`` results: the same edges in insertion
+    order, the same score bits and the same restart."""
+    assert got[0] == want[0] and got[0].edges == want[0].edges, label
+    assert got[1].hex() == want[1].hex() and got[2] == want[2], label
+
+
 @pytest.mark.parametrize("max_parents", [None, 0, 1, 2])
-def test_k2_matches_reference_loop_exactly(monkeypatch, max_parents):
+def test_k2_matches_reference_loop_exactly(max_parents):
     for seed in range(300):
         d = random_discrete(seed)
         order = [list(d.columns)[i] for i in
@@ -158,12 +165,28 @@ def test_k2_matches_reference_loop_exactly(monkeypatch, max_parents):
         want = k2_pass_reference(d, order, max_parents)
         for cache in (None, {}):
             assert k2_pass(d, order, max_parents, cache=cache) == want, seed
-        got = k2_multi_restart(d, 4, seed=seed, max_parents=max_parents)
-        with monkeypatch.context() as m:
-            m.setattr(structure, "k2_pass", k2_pass_reference)
-            ref = k2_multi_restart(d, 4, seed=seed, max_parents=max_parents)
-        assert got[1:] == ref[1:], seed
-        assert got[0] == ref[0] and got[0].edges == ref[0].edges, seed
+        _assert_same_restarts(k2_multi_restart(d, 4, seed=seed, max_parents=max_parents),
+                              k2_multi_restart_reference(d, 4, seed, max_parents), seed)
+
+
+def _assert_every_restart_scores_as_the_reference(d, n_restarts, seed, max_parents=None):
+    """The walk over all the restarts' orders gives each order the score
+    that k2_pass_reference gives it, bit for bit: the earliest of tied
+    maxima reads every score's bits."""
+    names = list(d.columns)
+    orders = structure._random_orders(len(names), n_restarts, seed)
+    _, scores = structure._k2_walk(d, orders, max_parents, {})
+    cache = {}
+    for r, (order, score) in enumerate(zip(orders, scores.tolist())):
+        _, want = k2_pass_reference(d, [names[i] for i in order], max_parents, cache)
+        assert score.hex() == want.hex(), (seed, r)
+
+
+@pytest.mark.parametrize("max_parents", [None, 0, 1, 2])
+def test_every_restart_scores_as_the_reference_loop(max_parents):
+    for seed in range(300):
+        _assert_every_restart_scores_as_the_reference(random_discrete(seed), 4, seed,
+                                                      max_parents)
 
 
 @pytest.mark.parametrize("max_parents", [None, 0, 1, 2])
@@ -287,40 +310,79 @@ def test_ranking_data_cover_constant_columns_and_every_place():
     assert max(size for size, _ in places) >= 6
 
 
+def test_every_restart_scores_as_the_reference_loop_on_constant_wide_and_wine_data():
+    for seed in range(60):
+        _assert_every_restart_scores_as_the_reference(_with_constant_columns(seed), 4, seed)
+    for seed in range(10):
+        _assert_every_restart_scores_as_the_reference(_wide_discrete(seed), 4, seed)
+    _assert_every_restart_scores_as_the_reference(next(_k2_images()), 1000, 0)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_k2_restarts_on_the_bundled_images_match_the_reference_loop(monkeypatch, seed):
+def test_k2_restarts_on_the_bundled_images_match_the_reference_loop(seed):
     for d in _k2_images():
-        graph, score, restart = k2_multi_restart(d, 50, seed)
-        with monkeypatch.context() as m:
-            m.setattr(structure, "k2_pass", k2_pass_reference)
-            ref_graph, ref_score, ref_restart = k2_multi_restart(d, 50, seed)
-        assert graph.edges == ref_graph.edges
-        assert score.hex() == ref_score.hex() and restart == ref_restart
+        _assert_same_restarts(k2_multi_restart(d, 50, seed),
+                              k2_multi_restart_reference(d, 50, seed), seed)
+
+
+def test_restart_orders_are_successive_permutations(monkeypatch):
+    # one permuted call draws the rows of successive rng.permutation calls
+    for n in (1, 2, 5, 14, 30):
+        for n_restarts in (1, 7, 2000):
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                want = [rng.permutation(n) for _ in range(n_restarts)]
+                got = structure._random_orders(n, n_restarts, seed)
+                assert got.shape == (n_restarts, n)
+                assert (got == want).all(), (n, n_restarts, seed)
+    for bad in (0, -1):
+        with pytest.raises(ValidationError, match="n_restarts must be >= 1"):
+            structure._random_orders(5, bad, 0)
+    # the joint learner's restarts take the same orders
+    d, _ = random_mixed(3)
+    seen = []
+    learn = structure.learn_dvbn
+
+    def recorded(d, order, **kwargs):
+        seen.append(order)
+        return learn(d, order, **kwargs)
+    monkeypatch.setattr(structure, "learn_dvbn", recorded)
+    multi_restart(d, 5, seed=4)
+    rng = np.random.default_rng(4)
+    assert seen == [[d.names[i] for i in rng.permutation(len(d.names))]
+                    for _ in range(5)]
+    with pytest.raises(ValidationError, match="n_restarts must be >= 1"):
+        multi_restart(d, 0, seed=4)
 
 
 def test_each_ranking_takes_one_encoder_pass(monkeypatch):
     # the encoder runs once per K2 cache entry: once for each stored ranking
     # and once for each parentless score, and never for a cache hit
-    calls = []
-    encode = counts.prefix_codes
+    calls, ranked, caches = [], [], []
+    encode, rank, score = counts.prefix_codes, structure._ranking, structure.family_score
 
     def counted(*args):
         calls.append(len(args[0]))
         return encode(*args)
-    caches = []
-    k2 = structure.k2_pass
 
-    def keep_cache(*args, **kwargs):
-        caches.append(kwargs["cache"])
-        return k2(*args, **kwargs)
+    def recorded_ranking(x, parents, d_star):
+        ranked.append((x, parents))
+        return rank(x, parents, d_star)
+
+    def recorded_score(x, parents, d_star, cache=None):
+        caches.append(cache)
+        return score(x, parents, d_star, cache)
     for module in (counts, structure):
         monkeypatch.setattr(module, "prefix_codes", counted)
-    monkeypatch.setattr(structure, "k2_pass", keep_cache)
+    monkeypatch.setattr(structure, "_ranking", recorded_ranking)
+    monkeypatch.setattr(structure, "family_score", recorded_score)
     wine = next(_k2_images())
     k2_multi_restart(wine, 1000, 0)
     cache, = {id(c): c for c in caches}.values()
     rankings = [key for key in cache if len(key) == 3]
     assert len(rankings) > 500
+    # each ranking is built once, and the cache holds every one built
+    assert sorted(ranked) == sorted(set(ranked)) == sorted(key[:2] for key in rankings)
     assert len(calls) == len(cache) == len(rankings) + len(wine.columns)
     # each ranking's pass encodes x and its parents together
     assert sorted(calls) == sorted([1] * len(wine.columns)
