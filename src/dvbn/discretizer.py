@@ -7,6 +7,7 @@ the MDL baseline.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from .dataset import DiscreteDataset, SortedColumn
 from .errors import DataError, ValidationError
 from .graph import Dag
 from .policy import DiscretizationPolicy, representations
-from .scoring import (BLOCK_ELEMENTS, h_matrix, mdl_h_matrix, mdl_interval_term,
-                      neg_log1m_exp)
+from .scoring import (BLOCK_ELEMENTS, TABLE_SIZES, _logs, h_matrix, mdl_h_matrix,
+                      mdl_interval_term, neg_log1m_exp)
 
 #: Largest total size, in bytes, of the dense m×m float64 arrays that the MDL
 #: DP may allocate (m = unique values of the column): 1 GiB admits its arrays
@@ -101,17 +102,33 @@ def _param_counts(ctx: NeighborContext) -> tuple[int, int]:
     return q + sum(blk.j_cond * (blk.j - 1) for blk in ctx.blocks[1:]), q
 
 
+@functools.lru_cache(maxsize=TABLE_SIZES)
+def _interval_count_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of the k-dependent MDL terms that depend on m alone:
+    ``ln k`` for k = 1..m, and ``(m − 1)·H((k − 1)/(m − 1))`` for
+    k = 2..m−1, H the binary entropy in nats.  Each log is ``math.log``'s,
+    and each product and sum is the scalar formula's, in its order.  The
+    last :data:`TABLE_SIZES` values of m are memoized, as the count tables
+    are."""
+    log_k = _logs(1, m + 1)
+    p = np.arange(1, m - 1) / (m - 1)  # p = (k − 1)/(m − 1), k = 2..m−1
+    q = 1 - p
+    log_p = np.fromiter(map(math.log, p.tolist()), float, len(p))
+    log_q = np.fromiter(map(math.log, q.tolist()), float, len(q))
+    entropy = (m - 1) * (-p * log_p - q * log_q)
+    log_k.flags.writeable = entropy.flags.writeable = False
+    return log_k, entropy
+
+
 def _penalties(m: int, n: int, a: int, b: int) -> list[float]:
     """The k-dependent MDL terms for k = 1..m: ``0.5·ln n·(a·k − b) + ln k``
-    plus ``(m − 1)·H((k − 1)/(m − 1))``, H the binary entropy in nats, which
-    is 0 at k = 1 and k = m and is left out there."""
-    half_log_n, out = 0.5 * math.log(n), []
-    for k in range(1, m + 1):
-        out.append(half_log_n * (a * k - b) + math.log(k))
-        if 1 < k < m:
-            p = (k - 1) / (m - 1)
-            out[-1] += (m - 1) * (-p * math.log(p) - (1 - p) * math.log(1 - p))
-    return out
+    plus ``(m − 1)·H((k − 1)/(m − 1))``, which is 0 at k = 1 and k = m and
+    is left out there."""
+    log_k, entropy = _interval_count_terms(m)
+    out = 0.5 * math.log(n) * (a * np.arange(1, m + 1) - b)
+    out += log_k
+    out[1:m - 1] += entropy
+    return out.tolist()
 
 
 def mdl_penalty(k: int, m: int, ctx: NeighborContext) -> float:
@@ -141,11 +158,11 @@ def _mdl_block_elements(m: int) -> int:
 
 def mdl_dp_elements(m: int) -> int:
     """8-byte elements that :func:`mdl_dp` holds at its peak for a column of
-    m unique values: the end-major kernel, the back pointers of every layer,
+    m unique values: the end-major kernel, the best sums of every layer,
     one layer block of at most :data:`BLOCK_ELEMENTS`, a few m-vectors, and
     the iterator buffers (``np.getbufsize()`` elements per operand) of a
     block's strided add."""
-    return (m * m + m * (m - 1) // 2 + _mdl_block_elements(m) + 8 * m
+    return (m * m + m * (m + 1) // 2 + _mdl_block_elements(m) + 8 * m
             + 3 * np.getbufsize())
 
 
@@ -158,9 +175,12 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
     MDL objective of the best k-interval policy.
 
     A layer whose candidates fit in :data:`BLOCK_ELEMENTS` is one add and one
-    argmin.  A larger layer goes in row blocks ``[j1, j2)`` of at most that
-    many elements, each over only the columns ``[r-j2, r)`` that hold its
-    live splits: every column left out is a split past the end of each row.
+    row minimum.  A larger layer goes in row blocks ``[j1, j2)`` of at most
+    that many elements, each over only the columns ``[r-j2, r)`` that hold
+    its live splits: every column left out is a split past the end of each
+    row.  Every layer's best sums are kept, and no split: the best k's path
+    is found afterwards, one end per layer, by redoing that end's add and
+    taking the argmin of its row, whose first hit is the larger split.
     """
     m = col.m
     u0 = col.uniques
@@ -180,28 +200,27 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
         hT[r, :m - 1 - r] = np.inf
     pen = _penalties(m, ctx.n, *_param_counts(ctx))
 
-    s = hT[:, m - 1].copy()                # k = 1: single interval over prefix
+    # the r = m-k+1 best sums of layer k, over the ends v = k..m, start at
+    # r(r-1)/2
+    sums = np.empty(m * (m + 1) // 2)
+    s = sums[m * (m - 1) // 2:]
+    s[:] = hT[:, m - 1]                    # k = 1: single interval over prefix
     per_k = [pen[0] + float(s[m - 1])]
     buf = np.empty(_mdl_block_elements(m))
-    # the r = m-k+1 back pointers of layer k start at r(r-1)/2; entry v-k
-    # holds m-1-u for the best split u of end v
-    backs = np.empty(m * (m - 1) // 2, dtype=np.intp)
     for k in range(2, m + 1):
         r = m - k + 1
-        # row j: candidates u = m-1 .. k-1 for end v = k+j; s holds layer
-        # k-1's best sums over the prefixes v-1 = k-2 .. m-1.  Only the last
+        # row j: candidates u = m-1 .. k-1 for end v = k+j; prev holds layer
+        # k-1's best sums over the prefixes that end at those u.  Only the last
         # j+1 columns of row j are live splits.  A layer that fits one block
         # skips the block loop: through the loop, whose bookkeeping (bounds,
-        # a fresh sum vector, a copy) costs a few us a layer, the MDL solves
-        # of Wine and Iris, all of them small, took 14-16% longer.
+        # a copy) costs a few us a layer, the MDL solves of Wine and Iris,
+        # all of them small, took 14-16% longer.
+        prev, s = s[-2::-1], sums[r * (r - 1) // 2:r * (r + 1) // 2]
         if r * r <= BLOCK_ELEMENTS:
-            a = np.add(hT[k - 1:, :r], s[-2::-1], out=buf[:r * r].reshape(r, r))
-            arg = np.argmin(a, axis=1, out=backs[r * (r - 1) // 2:r * (r + 1) // 2])
-            s = a[np.arange(r), arg]
+            a = np.add(hT[k - 1:, :r], prev, out=buf[:r * r].reshape(r, r))
+            np.minimum.reduce(a, axis=1, out=s)
         else:
-            prev = np.ascontiguousarray(s[-2::-1])
-            back = backs[r * (r - 1) // 2:r * (r + 1) // 2]
-            s = np.empty(r)
+            prev = np.ascontiguousarray(prev)
             j1 = 0
             while j1 < r:
                 # the most rows [j1, j2) whose live columns [r-j2, r) fit
@@ -210,9 +229,7 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
                 c = r - j2
                 a = np.add(hT[k - 1 + j1:k - 1 + j2, c:r], prev[c:],
                            out=buf[:(j2 - j1) * j2].reshape(j2 - j1, j2))
-                arg = np.argmin(a, axis=1, out=back[j1:j2])
-                s[j1:j2] = a[np.arange(j2 - j1), arg]
-                arg += c
+                np.minimum.reduce(a, axis=1, out=s[j1:j2])
                 j1 = j2
         per_k.append(pen[k - 1] + float(s[r - 1]))
 
@@ -221,8 +238,11 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
     edges = []
     v = m
     for k in range(best_k, 1, -1):
+        # end v's row of layer k, as the layer added it; a split past the
+        # end is +inf there and never the minimum
         r = m - k + 1
-        u = m - 1 - int(backs[r * (r - 1) // 2 + v - k])
+        prev = sums[r * (r + 1) // 2:(r + 1) * (r + 2) // 2][-2::-1]
+        u = m - 1 - int((hT[v - 1, :r] + prev).argmin())
         edges.append(float(u0[u - 1] + u0[u]) / 2.0)
         v = u
     return tuple(reversed(edges)), best_total, per_k

@@ -88,7 +88,8 @@ def _log_gamma_entries(size: int) -> np.ndarray:
     return out
 
 
-#: Sizes of each table over integer counts that are kept at once.
+#: Sizes of each table over integer counts, and values of m of the MDL
+#: penalty tables, that are kept at once.
 TABLE_SIZES = 16
 
 
@@ -293,8 +294,17 @@ def mdl_h_matrix(ctx: NeighborContext, col: SortedColumn):
 
     def block_term(value, j):
         log_m = np.log(np.maximum(np.bincount(value, minlength=j), 1))
-        return lambda c_cell, c_cond, rows: np.where(c_cond < 0, 0.0, -(
-            phi[c_cell] - log_m[value[rows], None] - phi[c_cond] + log_n))
+
+        def term(c_cell, c_cond, rows):
+            # -(phi[c_cell] - log_m - phi[c_cond] + log_n), in place
+            t = phi[c_cell]
+            t -= log_m[value[rows], None]
+            t -= phi[c_cond]
+            t += log_n
+            np.negative(t, out=t)
+            t[c_cond < 0] = 0.0
+            return t
+        return term
     return _kernel_chunks(ctx, col, block_term)
 
 

@@ -130,10 +130,22 @@ def test_mdl_penalty_k1():
     assert mdl_penalty(1, col.m, ctx) == pytest.approx(expected)
 
 
+def _penalties_loop(m, n, a, b):
+    """The layer penalties as a scalar loop over k, three ``math.log`` per k."""
+    half_log_n, out = 0.5 * math.log(n), []
+    for k in range(1, m + 1):
+        out.append(half_log_n * (a * k - b) + math.log(k))
+        if 1 < k < m:
+            p = (k - 1) / (m - 1)
+            out[-1] += (m - 1) * (-p * math.log(p) - (1 - p) * math.log(1 - p))
+    return out
+
+
 def test_layer_penalties_equal_mdl_penalty_bit_for_bit():
-    # mdl_dp takes the penalty of every layer from _penalties; the reference
-    # is the penalty of one k by its scalar formula, the binary entropy 0 at
-    # p = 0 and p = 1
+    # mdl_dp takes the penalty of every layer from _penalties, built from
+    # tables per m; the references are the scalar loop over k and the
+    # penalty of one k by its scalar formula, the binary entropy 0 at p = 0
+    # and p = 1
     def penalty(k, m, n, a, b):
         total = 0.5 * math.log(n) * (a * k - b) + math.log(k)
         if m > 1:
@@ -142,18 +154,33 @@ def test_layer_penalties_equal_mdl_penalty_bit_for_bit():
             total += (m - 1) * h
         return total
 
+    # more values of m than the tables keep, so some are built afresh on the
+    # way back
+    ms = [1, 2, 3, 10, 127, *range(200, 200 + 2 * scoring.TABLE_SIZES), 2, 10, 700]
     for n, (a, b), m in itertools.product([1, 2, 150, 3000],
-                                          [(1, 1), (3, 3), (7, 3), (40, 9)],
-                                          [1, 2, 3, 10, 127]):
-        got = discretizer._penalties(m, n, a, b)
-        assert len(got) == m
-        for k in range(1, m + 1):  # k = 1 and k = m included
-            assert got[k - 1].hex() == penalty(k, m, n, a, b).hex()
+                                          [(1, 1), (3, 3), (7, 3), (40, 9)], ms):
+        got = [p.hex() for p in discretizer._penalties(m, n, a, b)]
+        assert got == [p.hex() for p in _penalties_loop(m, n, a, b)]
+        # k = 1 and k = m included
+        assert got == [penalty(k, m, n, a, b).hex() for k in range(1, m + 1)]
     d_star, g, col = random_instance(1)
     ctx = build_context(d_star, g, "X", col)
     got = discretizer._penalties(col.m, ctx.n, *discretizer._param_counts(ctx))
     assert [p.hex() for p in got] == [mdl_penalty(k, col.m, ctx).hex()
                                       for k in range(1, col.m + 1)]
+
+
+def test_layer_penalty_tables_cannot_be_mutated():
+    want = _penalties_loop(50, 160, 9, 3)
+    log_k, entropy = discretizer._interval_count_terms(50)
+    for table in (log_k, entropy):
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+    # the list a caller gets is its own
+    got = discretizer._penalties(50, 160, 9, 3)
+    got[:] = [0.0] * len(got)
+    assert discretizer._penalties(50, 160, 9, 3) == want
+    assert log_k.tolist() == [math.log(k) for k in range(1, 51)]
 
 
 def test_dispatcher_rejects_unknown_method():
@@ -318,6 +345,40 @@ def test_mdl_dp_tie_prefers_larger_split():
     assert edges == (2.5,)
     assert total == per_k[1] == mdl_penalty(2, 4, ctx) + 2.0
     assert (edges, total, per_k) == _mdl_dp_reference(col, hmdl, ctx)
+
+
+@pytest.mark.parametrize("budget", [None, 3], ids=["one_block", "row_blocks"])
+@pytest.mark.parametrize("m, edges", [(5, (1.5, 3.5)), (7, (1.5, 3.5, 5.5))])
+def test_mdl_dp_tie_at_a_later_layer_prefers_larger_split(monkeypatch, m, edges, budget):
+    # an interval of one or two values costs 1, a longer one 100, so the best
+    # path has ceil(m/2) intervals.  At its last layer the end m ties between
+    # a last interval of one value and one of two: the larger split, one
+    # value, must win; every earlier layer of the path has a single best.
+    # A budget of 3 runs the layers of 2 or more ends in row blocks.
+    if budget is not None:
+        monkeypatch.setattr(discretizer, "BLOCK_ELEMENTS", budget)
+    col = sorted_column(np.arange(float(m)))
+    d_star = DiscreteDataset({"X": np.ones(m, dtype=np.int64),
+                              "P": (np.arange(m) % 2 + 1).astype(np.int64)},
+                             {"X": 1, "P": 2})
+    g = Dag({"X": None, "P": 2}).add_edge("P", "X")
+    ctx = build_context(d_star, g, "X", col)
+    u, e = np.indices((m, m))  # entry (u, e) covers the values u+1 .. e+1
+    hmdl = np.where(e - u < 2, 1.0, 100.0) * (e >= u)
+    got = mdl_dp(col, kernel_chunks(hmdl), ctx)
+    best_k = len(edges) + 1
+    assert best_k >= 3
+    assert got == (edges, mdl_penalty(best_k, m, ctx) + best_k, got[2])
+    assert got == _mdl_dp_reference(col, hmdl, ctx)
+
+
+def test_mdl_dp_per_k_totals_are_python_floats():
+    # RESULTS.json hashes the repr of per_k, and np.float64 has another repr
+    d_star, g, col = blanket_instance(200, 0)
+    ctx = build_context(d_star, g, "X", col)
+    per_k = mdl_dp(col, mdl_h_matrix(ctx, col), ctx)[2]
+    assert type(per_k) is list and len(per_k) == col.m
+    assert all(type(total) is float for total in per_k)
 
 
 @pytest.mark.parametrize("pen, best_k", [([10.0, 1.0, 0.0, 10.0], 2),
