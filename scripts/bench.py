@@ -11,13 +11,15 @@ temporary directory and timed in alternation with this checkout into
 ``BENCH_baseline.json``: every (seed, workload) pair runs on both sides, and
 the side that runs first alternates from seed to seed.
 A run that reports ``correct: false`` or a failed operation stops the
-recorder.  After the timed runs, one ``--trace 1`` run per workload and side
-records the layer calls and self times.  ``run.py`` prints only calibrated
-times (CPU seconds scaled to a nominal machine), so no raw CPU time is
-recorded.
+recorder.  A side whose timed paths differ from its commit is recorded as
+``dirty``, with the sha256 of that difference.  After the timed runs, one
+``--trace 1`` run per workload and side records the layer calls and self
+times.  ``run.py`` prints only calibrated times (CPU seconds scaled to a
+nominal machine), so no raw CPU time is recorded.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -66,9 +68,18 @@ def git(*args: str) -> str:
                           check=True).stdout
 
 
+def diff_sha256(checkout: str) -> str | None:
+    """The sha256 of ``git diff HEAD --binary`` over ``TIMED_PATHS`` in
+    ``checkout``, or None if they hold what HEAD holds: two dirty trees of
+    one commit with the same hash time the same files."""
+    diff = subprocess.run(["git", "diff", "HEAD", "--binary", "--", *TIMED_PATHS],
+                          cwd=checkout, capture_output=True, check=True).stdout
+    return hashlib.sha256(diff).hexdigest() if diff else None
+
+
 def record(sides: dict, seconds: float) -> dict:
-    """Time every side (slug -> (checkout, commit, dirty)) in alternation;
-    the BENCH document of each side."""
+    """Time every side (slug -> (checkout, commit, diff_sha256)) in
+    alternation; the BENCH document of each side."""
     runs = {slug: {w: [] for w in WORKLOADS} for slug in sides}
     for i, seed in enumerate(SEEDS):
         for w in WORKLOADS[i % len(WORKLOADS):] + WORKLOADS[:i % len(WORKLOADS)]:
@@ -78,9 +89,10 @@ def record(sides: dict, seconds: float) -> dict:
                 print(f"seed {seed} {w} {slug}: k2_s {runs[slug][w][-1]['k2_s']['value']:.4f}",
                       file=sys.stderr)
     docs = {}
-    for slug, (checkout, commit, dirty) in sides.items():
+    for slug, (checkout, commit, diff) in sides.items():
         docs[slug] = {
-            "commit": commit, "dirty": dirty, "seeds": SEEDS, "seconds": seconds,
+            "commit": commit, "dirty": diff is not None, "diff_sha256": diff,
+            "seeds": SEEDS, "seconds": seconds,
             "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
             "python": platform.python_version(), "numpy": numpy.__version__,
             "cpu_count": os.cpu_count(), "paired_with": sorted(set(sides) - {slug}),
@@ -97,14 +109,13 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=25)
     p.add_argument("--against", help="a commit to time in alternation, as the baseline")
     args = p.parse_args(argv)
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no", "--", *TIMED_PATHS))
     with tempfile.TemporaryDirectory(prefix="dvbn-bench-") as tmp:
-        sides = {args.slug: (ROOT, git("rev-parse", "HEAD").strip(), dirty)}
+        sides = {args.slug: (ROOT, git("rev-parse", "HEAD").strip(), diff_sha256(ROOT))}
         if args.against:
             archive = subprocess.run(["git", "archive", args.against], cwd=ROOT,
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            sides["baseline"] = (tmp, git("rev-parse", args.against).strip(), False)
+            sides["baseline"] = (tmp, git("rev-parse", args.against).strip(), None)
         docs = record(sides, args.seconds)
     for slug, doc in docs.items():
         with open(os.path.join(ROOT, f"BENCH_{slug}.json"), "w") as f:

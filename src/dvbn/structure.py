@@ -49,8 +49,8 @@ def family_score(x: str, parents, d_star: DiscreteDataset,
     return score
 
 
-def network_score(g: Dag, d_star: DiscreteDataset, cache: dict | None = None) -> float:
-    return sum(family_score(x, g.parents(x), d_star, cache) for x in g.nodes)
+def network_score(g: Dag, d_star: DiscreteDataset) -> float:
+    return sum(family_score(x, g.parents(x), d_star) for x in g.nodes)
 
 
 def _ranking(x: str, parents: tuple, d_star: DiscreteDataset) -> list:
@@ -96,10 +96,9 @@ def _ranking(x: str, parents: tuple, d_star: DiscreteDataset) -> list:
 
 
 def _k2_walk(d_star: DiscreteDataset, orders: np.ndarray,
-             max_parents: int | None, cache: dict,
-             on_accept=None) -> tuple[list[tuple[str, str]], np.ndarray]:
+             max_parents: int | None, cache: dict) -> tuple[list[tuple[str, str]], np.ndarray]:
     """Greedy K2 over every row of ``orders`` (column indices) at once; see
-    :func:`k2_pass` for the search and ``on_accept``, which needs one order.
+    :func:`k2_pass` for the search.
 
     For each node, all orders start in one group at parent set ``()``.  A
     group reads its state's ranking and finds, for each of its orders, the
@@ -142,10 +141,6 @@ def _k2_walk(d_star: DiscreteDataset, orders: np.ndarray,
                 group = rows[first == k]
                 grown = tuple(sorted(pa + (y,)))
                 edges.append((y, x))
-                if on_accept is not None:
-                    d_star = on_accept(list(edges))
-                    cache.clear()
-                    p_new = family_score(x, grown, d_star, cache)
                 groups.append((grown, group, p_new))
     score = np.zeros(n_orders)
     for column in np.take_along_axis(last, orders, axis=1).T:
@@ -154,8 +149,8 @@ def _k2_walk(d_star: DiscreteDataset, orders: np.ndarray,
 
 
 def k2_pass(d_star: DiscreteDataset, order: list[str],
-            max_parents: int | None = None, cache: dict | None = None,
-            on_accept=None) -> tuple[list[tuple[str, str]], float]:
+            max_parents: int | None = None,
+            cache: dict | None = None) -> tuple[list[tuple[str, str]], float]:
     """Greedy K2 over a fixed ordering: each node takes the best-scoring
     predecessor repeatedly while the family score strictly improves.
 
@@ -169,16 +164,12 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
     them.
 
     Returns the accepted edges in acceptance order and the sum over ``order``
-    of each node's last family score, which without ``on_accept`` is bit for
-    bit the :func:`network_score` of the graph with those edges.  With
-    ``on_accept``, each accepted edge is reported at once: ``on_accept(edges)``
-    gets the edges accepted so far and returns the discretized data to
-    continue on; the cache, rankings included, is then cleared and the node's
-    family rescored on the new data.
+    of each node's last family score, which is bit for bit the
+    :func:`network_score` of the graph with those edges.
     """
     index = {v: i for i, v in enumerate(d_star.columns)}
     edges, score = _k2_walk(d_star, np.array([[index[v] for v in order]], dtype=int),
-                            max_parents, {} if cache is None else cache, on_accept)
+                            max_parents, {} if cache is None else cache)
     return edges, float(score[0])
 
 
@@ -204,40 +195,45 @@ class LearnResult:
 def learn_dvbn(d: MixedDataset, order: list[str],
                max_parents: int | None = None, method: str = "bayes",
                restart_seed: int = 0) -> LearnResult:
-    """Alternate greedy K2 parent additions with rediscretization.
+    """Greedy K2 over ``order`` that rediscretizes after every accepted edge.
 
     K2 starts on the equal-width image of ``d``, with
-    :func:`initial_interval_count` intervals per continuous variable.  Every
-    accepted edge rediscretizes, with :func:`discretize_all` on the current
-    graph, each continuous variable whose Markov blanket is not empty; the
-    node's family score is then refreshed on the new data.  A variable with
-    an empty blanket keeps its equal-width seed: its objective has only the
-    prior, which would collapse it to one interval, and a one-interval
-    variable can never raise a family score.
+    :func:`initial_interval_count` intervals per continuous variable.  A node
+    takes its best-ranked predecessor while that strictly raises its family
+    score, as in :func:`k2_pass`.  Every accepted edge rediscretizes, with
+    :func:`discretize_all` on the current graph, each continuous variable
+    whose Markov blanket is not empty, and the node's family is rescored on
+    the new data.  A variable with an empty blanket keeps its equal-width
+    seed: its objective has only the prior, which would collapse it to one
+    interval, and a one-interval variable can never raise a family score.
     """
     check_method(method)
     if sorted(order) != sorted(d.names):
         raise ValidationError("order must permute all dataset variables")
     pset = seed = equal_width_set(d, initial_interval_count(d))
-
-    def rediscretize(edges) -> DiscreteDataset:
-        nonlocal pset
-        g = Dag(d.names, edges)
-        linked = [v for v in d.variables
-                  if v.kind == "discrete" or g.markov_blanket(v.name)]
-        d_linked = MixedDataset(linked, {v.name: d.columns[v.name] for v in linked})
-        fit = discretize_all(d_linked, g, method=method)
-        image = DiscreteDataset({**seed.image.columns, **fit.image.columns},
-                                {**seed.image.cardinalities, **fit.image.cardinalities})
-        pset = PolicySet({**seed.policies, **fit.policies}, fit.pass_count,
-                         fit.converged, image)
-        return image
-
-    cache: dict = {}
-    edges, _ = k2_pass(seed.image, order, max_parents=max_parents, cache=cache,
-                       on_accept=rediscretize if seed.policies else None)
+    edges: list[tuple[str, str]] = []
+    for i, x in enumerate(order):
+        before, pa = set(order[:i]), ()
+        p_old = family_score(x, pa, pset.image)
+        while len(pa) < (i if max_parents is None else min(i, max_parents)):
+            p_new, y = next(c for c in _ranking(x, pa, pset.image) if c[1] in before)
+            if p_new <= p_old:
+                break
+            edges.append((y, x))
+            pa = tuple(sorted(pa + (y,)))
+            if seed.policies:
+                g = Dag(d.names, edges)
+                linked = [v for v in d.variables
+                          if v.kind == "discrete" or g.markov_blanket(v.name)]
+                fit = discretize_all(MixedDataset(linked, {v.name: d.columns[v.name]
+                                                           for v in linked}), g, method=method)
+                image = DiscreteDataset({**seed.image.columns, **fit.image.columns},
+                                        {**seed.image.cardinalities, **fit.image.cardinalities})
+                pset = PolicySet({**seed.policies, **fit.policies}, fit.pass_count,
+                                 fit.converged, image)
+            p_old = family_score(x, pa, pset.image)
     g = Dag(dict(pset.image.cardinalities), edges)
-    return LearnResult(g, pset, network_score(g, pset.image, cache), restart_seed)
+    return LearnResult(g, pset, network_score(g, pset.image), restart_seed)
 
 
 def _random_orders(n: int, n_restarts: int, seed: int) -> np.ndarray:

@@ -5,6 +5,8 @@ The objective oracles are computed with plain Python loops, tuples, and
 and they take raw value lists, not package data structures.  The K2
 reference loops are the older greedy search over the package's own family
 scores, one restart at a time, so they check the search, not the score.
+The joint reference rediscretizes through the package's ``discretize_all``,
+so it checks the loop around the solves, not the solves.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ from collections import Counter
 
 import numpy as np
 
+from dvbn import multivar
+from dvbn.dataset import DiscreteDataset, MixedDataset
 from dvbn.graph import Dag
-from dvbn.structure import family_score, network_score
+from dvbn.multivar import PolicySet, equal_width_set, initial_interval_count
+from dvbn.structure import LearnResult, family_score, network_score
 
 
 def _log_binom(n: int, r: int) -> float:
@@ -127,11 +132,11 @@ def oracle_mdl(x: list[float], parents: list[tuple[list[int], int]],
     return total - fit
 
 
-def k2_pass_reference(d_star, order, max_parents=None, cache=None,
-                      on_accept=None):
+def k2_pass_reference(d_star, order, max_parents=None, cache=None):
     """The greedy loop before per-family rankings: every step re-scores each
     remaining predecessor and takes the max of (score, name).  Builds the
-    graph edge by edge and reads its score back through network_score."""
+    graph edge by edge and sums its family scores in node order, as
+    network_score does, reading them from ``cache``."""
     g = Dag({x: d_star.cardinalities[x] for x in order})
     for i, x in enumerate(order):
         pa = []
@@ -146,14 +151,45 @@ def k2_pass_reference(d_star, order, max_parents=None, cache=None,
                 break
             g = g.add_edge(best_y, x)
             pa.append(best_y)
-            if on_accept is None:
-                p_old = best_score
-            else:
-                d_star = on_accept(g.edges)
-                if cache is not None:
-                    cache.clear()
-                p_old = family_score(x, pa, d_star, cache)
-    return g.edges, network_score(g, d_star, cache)
+            p_old = best_score
+    return g.edges, sum(family_score(x, g.parents(x), d_star, cache) for x in g.nodes)
+
+
+def learn_dvbn_reference(d, order, max_parents=None, method="bayes", restart_seed=0):
+    """The joint learner as the greedy loop of :func:`k2_pass_reference`
+    with a rediscretization after each accepted edge: every continuous
+    variable with a nonempty Markov blanket in the graph so far is solved
+    again by ``discretize_all``, the others keep their equal-width seed, and
+    the node's family is rescored on the new image, with no score kept
+    across data."""
+    seed = pset = equal_width_set(d, initial_interval_count(d))
+    g = Dag(list(d.names))
+    for i, x in enumerate(order):
+        pa = []
+        p_old = family_score(x, pa, pset.image)
+        while max_parents is None or len(pa) < max_parents:
+            candidates = [y for y in order[:i] if y not in pa]
+            if not candidates:
+                break
+            scored = [(family_score(x, pa + [y], pset.image), y) for y in candidates]
+            best_score, best_y = max(scored, key=lambda t: (t[0], t[1]))
+            if best_score <= p_old:
+                break
+            g = g.add_edge(best_y, x)
+            pa.append(best_y)
+            if seed.policies:
+                linked = [v for v in d.variables
+                          if v.kind == "discrete" or g.markov_blanket(v.name)]
+                fit = multivar.discretize_all(
+                    MixedDataset(linked, {v.name: d.columns[v.name] for v in linked}), g,
+                    method=method)
+                columns = {**seed.image.columns, **fit.image.columns}
+                cards = {**seed.image.cardinalities, **fit.image.cardinalities}
+                pset = PolicySet({**seed.policies, **fit.policies}, fit.pass_count,
+                                 fit.converged, DiscreteDataset(columns, cards))
+            p_old = family_score(x, pa, pset.image)
+    graph = Dag(dict(pset.image.cardinalities), g.edges)
+    return LearnResult(graph, pset, network_score(graph, pset.image), restart_seed)
 
 
 def k2_multi_restart_reference(d_star, n_restarts, seed, max_parents=None):

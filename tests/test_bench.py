@@ -1,8 +1,9 @@
-"""The summary of ``scripts/bench.py``, on hand-made run results (no
-benchmark run)."""
+"""The summary and the dirty-tree hash of ``scripts/bench.py``, on
+hand-made run results and a temporary git repository (no benchmark run)."""
 
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -41,3 +42,38 @@ def test_summary_of_one_run_is_that_run():
                            "q1": 0.25, "median": 0.25, "q3": 0.25}
     # an even count takes the mean of the middle pair
     assert _bench().summarize([_metrics(t, 0.0) for t in (1.0, 2.0)])["k2_s"]["median"] == 1.5
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=repo, capture_output=True, check=True)
+
+
+def test_dirty_tree_hash_names_the_edit_of_the_timed_paths(tmp_path):
+    diff_sha256 = _bench().diff_sha256
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    (repo / "README.md").write_text("notes\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "seed")
+    assert diff_sha256(repo) is None
+    # an edit outside the timed paths, or an untracked file, leaves it clean
+    (repo / "README.md").write_text("other notes\n")
+    (repo / "scratch.txt").write_text("untracked\n")
+    assert diff_sha256(repo) is None
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    first = diff_sha256(repo)
+    assert len(first) == 64
+    # the same edit made again hashes the same, a different one does not
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    assert diff_sha256(repo) is None
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    assert diff_sha256(repo) == first
+    (repo / "src" / "a.py").write_text("x = 3\n")
+    assert diff_sha256(repo) not in (None, first)
+    # a staged edit counts as the same edit
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    _git(repo, "add", "src/a.py")
+    assert diff_sha256(repo) == first

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, assert_same_image, random_discrete, random_mixed
-from dvbn import counts, structure
+from dvbn import counts, multivar, structure
 from dvbn.dataset import DiscreteDataset, MixedDataset, Variable, load_csv, load_schema
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
 from dvbn.multivar import apply_policies, equal_width_set, initial_interval_count
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,
                             learn_dvbn, multi_restart, network_score)
-from oracles import k2_multi_restart_reference, k2_pass_reference
+from oracles import k2_multi_restart_reference, k2_pass_reference, learn_dvbn_reference
 from planted import planted_chain, recalled
 
 
@@ -403,23 +403,70 @@ def test_k2_ties_go_to_the_larger_name():
                 assert Dag(d.cardinalities, edges).parents("x") == ["b"]
 
 
-def test_joint_learn_matches_reference_loop_exactly(monkeypatch):
-    # random_mixed has continuous columns, so every accept rediscretizes and
-    # clears the cache (the on_accept path)
-    edges = 0
+def _joint_run(monkeypatch, learn, d, order, **kwargs):
+    """``learn(d, order, **kwargs)``'s JSON, the image of each
+    rediscretization it runs, and the ``(x, parents)`` of each ranking it
+    builds."""
+    images, ranked = [], []
+    discretize, rank = multivar.discretize_all, structure._ranking
+
+    def recorded_fit(*args, **kw):
+        fit = discretize(*args, **kw)
+        images.append(fit.image)
+        return fit
+
+    def recorded_ranking(x, parents, d_star):
+        ranked.append((x, parents))
+        return rank(x, parents, d_star)
+    with monkeypatch.context() as m:
+        for module in (multivar, structure):
+            m.setattr(module, "discretize_all", recorded_fit)
+        m.setattr(structure, "_ranking", recorded_ranking)
+        got = learn(d, order, **kwargs).to_json()
+    return got, images, ranked
+
+
+def _joint_cases():
+    """``(d, order, max_parents, method)``: random_mixed seeds in two orders,
+    every max_parents with both methods, and the planted chain."""
     for seed in range(40):
         d, _ = random_mixed(seed)
-        max_parents = [None, 1, 2][seed % 3]
-        order = list(d.names)[::-1]
-        got = (learn_dvbn(d, order, max_parents=max_parents).to_json(),
-               multi_restart(d, 3, seed=seed, max_parents=max_parents).to_json())
+        for order in (list(d.names), list(d.names)[::-1]):
+            yield d, order, [None, 1, 2][seed % 3], ("bayes", "mdl")[seed % 2]
+    for seed in range(3):
+        d = planted_chain(250, seed)
+        for method in ("bayes", "mdl"):
+            yield d, list(d.names), 2, method
+
+
+def test_joint_learn_matches_reference_loop_exactly(monkeypatch):
+    # random_mixed and the chain have continuous columns, so every accept
+    # rediscretizes and rescores on the new image
+    accepts = 0
+    for case, (d, order, max_parents, method) in enumerate(_joint_cases()):
+        kwargs = {"max_parents": max_parents, "method": method}
+        got, images, ranked = _joint_run(monkeypatch, learn_dvbn, d, order, **kwargs)
+        want, want_images, _ = _joint_run(monkeypatch, learn_dvbn_reference, d, order,
+                                          **kwargs)
+        assert got == want, case
+        # one rediscretization per accepted edge, each on the reference's image
+        assert len(images) == len(want_images) == len(json.loads(got)["graph"]["edges"])
+        for image, want_image in zip(images, want_images):
+            assert_same_image(image, want_image)
+        # no (x, parents) state is ranked twice within one learn, and the
+        # first node, with no predecessor to add, is never ranked
+        assert len(ranked) == len(set(ranked)), case
+        assert order[0] not in {x for x, _ in ranked}, case
+        accepts += len(images)
+    assert accepts > 150
+    # the restarts pick the same learn
+    for seed in range(10):
+        d, _ = random_mixed(seed)
+        got = multi_restart(d, 3, seed=seed, max_parents=2).to_json()
         with monkeypatch.context() as m:
-            m.setattr(structure, "k2_pass", k2_pass_reference)
-            want = (learn_dvbn(d, order, max_parents=max_parents).to_json(),
-                    multi_restart(d, 3, seed=seed, max_parents=max_parents).to_json())
+            m.setattr(structure, "learn_dvbn", learn_dvbn_reference)
+            want = multi_restart(d, 3, seed=seed, max_parents=2).to_json()
         assert got == want, seed
-        edges += len(json.loads(got[1])["graph"]["edges"])
-    assert edges > 40
 
 
 def test_joint_learning_learns_edges_on_wine():
