@@ -8,8 +8,9 @@ in a subprocess, from the root of the checkout it times.  The seeds 0-9 run
 in turn, and each seed rotates the order of the workloads.  With
 ``--against``, the given commit is extracted with ``git archive`` into a
 temporary directory and timed in alternation with this checkout into
-``BENCH_baseline.json``: every (seed, workload) pair runs on both sides, and
-the side that runs first alternates from seed to seed.
+``BENCH_<slug>_baseline.json``, so every recorded pair keeps its own
+baseline: every (seed, workload) pair runs on both sides, and the side that
+runs first alternates from seed to seed.
 A run that reports ``correct: false`` or a failed operation stops the
 recorder.  A side whose timed paths differ from its commit is recorded as
 ``dirty``, with the sha256 of that difference.  After the timed runs, one
@@ -115,7 +116,8 @@ def main(argv=None) -> int:
             archive = subprocess.run(["git", "archive", args.against], cwd=ROOT,
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            sides["baseline"] = (tmp, git("rev-parse", args.against).strip(), None)
+            sides[f"{args.slug}_baseline"] = (tmp, git("rev-parse", args.against).strip(),
+                                              None)
         docs = record(sides, args.seconds)
     for slug, doc in docs.items():
         with open(os.path.join(ROOT, f"BENCH_{slug}.json"), "w") as f:

@@ -42,8 +42,8 @@ def bayes_dp(col: SortedColumn, chunks, L: int):
     ``S[v]`` the best objective over rows ``1..s_v`` (``S[0] = 0``),
     ``back[v]`` its last split boundary u (0 = a single interval) and ``W[v]``
     the edge penalty after unique v (``W[m] = 0``).  Ties prefer the larger
-    split index (fewer, later edges).  A gap whose ratio ``L·gap/range``
-    underflows to 0 has no edge penalty and is a :class:`DataError`.
+    split index (fewer, later edges).  A gap whose ``L·gap/range`` underflows
+    to 0, or a range whose ``L/range`` overflows, is a :class:`DataError`.
 
     Each chunk is consumed as it arrives: it forms every
     ``(W[v] + K[i, u]) + Lr·(u_v - u_u)`` of its ends at once, last split
@@ -57,6 +57,8 @@ def bayes_dp(col: SortedColumn, chunks, L: int):
     if rng <= 0:
         raise ValidationError("degenerate column has no DP to run")
     Lr = L / rng
+    if math.isinf(Lr):
+        raise DataError("the range of its values is too small for the prior")
 
     # W[1..m-1]; each argument L·gap/rng rounds exactly as in scalar floats
     z = (L * np.diff(u0) / rng).tolist()

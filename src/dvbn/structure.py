@@ -37,7 +37,8 @@ def _scores(codes: np.ndarray, batch: int, q: int, r: int, n: int) -> np.ndarray
 
 def family_score(x: str, parents, d_star: DiscreteDataset,
                  cache: dict | None = None) -> float:
-    """Log marginal likelihood contribution of one node given its parents."""
+    """Log marginal likelihood contribution of one node given its parents.
+    Only :func:`_k2_walk` passes ``cache``; perfbench counts its hits by name."""
     parents = tuple(sorted(parents))
     if cache is not None and (x, parents) in cache:
         return cache[(x, parents)]
@@ -107,6 +108,10 @@ def _k2_walk(d_star: DiscreteDataset, orders: np.ndarray,
     by candidate into groups at the grown parent sets.  Each order's score is
     the sum, in that order, of its nodes' last family scores.
 
+    ``cache`` keeps each ranking under ``(x, parents, "ranked")``, beside the
+    parentless scores that :func:`family_score` keeps there.  Rankings do not
+    depend on the order, so every order walked over one cache shares them.
+
     Returns the edges of every split in acceptance order, which for a single
     order are its accepted edges, and every order's score."""
     names = list(d_star.columns)
@@ -149,19 +154,13 @@ def _k2_walk(d_star: DiscreteDataset, orders: np.ndarray,
 
 
 def k2_pass(d_star: DiscreteDataset, order: list[str],
-            max_parents: int | None = None,
-            cache: dict | None = None) -> tuple[list[tuple[str, str]], float]:
+            max_parents: int | None = None) -> tuple[list[tuple[str, str]], float]:
     """Greedy K2 over a fixed ordering: each node takes the best-scoring
     predecessor repeatedly while the family score strictly improves.
 
     Each family ``(x, sorted parents)`` ranks every column it could add once,
-    by ``(score, name)`` best first, and keeps the ranking in ``cache`` under
-    ``(x, parents, "ranked")``, beside the parentless family scores that
-    :func:`family_score` keeps there (a local dict when ``cache`` is None).
-    A step takes the first ranked candidate that precedes ``x`` in
-    ``order``: the best score, ties to the larger name.  Rankings do not
-    depend on the order, so the restarts of :func:`k2_multi_restart` share
-    them.
+    by ``(score, name)`` best first.  A step takes the first ranked candidate
+    that precedes ``x`` in ``order``: the best score, ties to the larger name.
 
     Returns the accepted edges in acceptance order and the sum over ``order``
     of each node's last family score, which is bit for bit the
@@ -169,7 +168,7 @@ def k2_pass(d_star: DiscreteDataset, order: list[str],
     """
     index = {v: i for i, v in enumerate(d_star.columns)}
     edges, score = _k2_walk(d_star, np.array([[index[v] for v in order]], dtype=int),
-                            max_parents, {} if cache is None else cache)
+                            max_parents, {})
     return edges, float(score[0])
 
 
@@ -204,9 +203,9 @@ def learn_dvbn(d: MixedDataset, order: list[str],
     :func:`discretize_all` on the current graph, each continuous variable
     whose Markov blanket is not empty, and the node's family is rescored on
     the new data.  A variable with an empty blanket keeps its equal-width
-    seed: its objective has only the prior, which would collapse it to one
-    interval, and a one-interval variable can never raise a family score.
-    """
+    seed: its objective has only the prior, which gives it one interval
+    under ``mdl`` (``bayes`` splits only a gap over ln 2 / 2 of the range),
+    and a one-interval variable never raises a family score."""
     check_method(method)
     if sorted(order) != sorted(d.names):
         raise ValidationError("order must permute all dataset variables")
@@ -221,16 +220,15 @@ def learn_dvbn(d: MixedDataset, order: list[str],
                 break
             edges.append((y, x))
             pa = tuple(sorted(pa + (y,)))
-            if seed.policies:
-                g = Dag(d.names, edges)
-                linked = [v for v in d.variables
-                          if v.kind == "discrete" or g.markov_blanket(v.name)]
-                fit = discretize_all(MixedDataset(linked, {v.name: d.columns[v.name]
-                                                           for v in linked}), g, method=method)
-                image = DiscreteDataset({**seed.image.columns, **fit.image.columns},
-                                        {**seed.image.cardinalities, **fit.image.cardinalities})
-                pset = PolicySet({**seed.policies, **fit.policies}, fit.pass_count,
-                                 fit.converged, image)
+            g = Dag(d.names, edges)
+            linked = [v for v in d.variables
+                      if v.kind == "discrete" or g.markov_blanket(v.name)]
+            fit = discretize_all(MixedDataset(linked, {v.name: d.columns[v.name]
+                                                       for v in linked}), g, method=method)
+            image = DiscreteDataset({**seed.image.columns, **fit.image.columns},
+                                    {**seed.image.cardinalities, **fit.image.cardinalities})
+            pset = PolicySet({**seed.policies, **fit.policies}, fit.pass_count,
+                             fit.converged, image)
             p_old = family_score(x, pa, pset.image)
     g = Dag(dict(pset.image.cardinalities), edges)
     return LearnResult(g, pset, network_score(g, pset.image), restart_seed)
@@ -258,15 +256,14 @@ def multi_restart(d: MixedDataset, n_restarts: int, seed: int,
 
 def k2_multi_restart(d_star: DiscreteDataset, n_restarts: int, seed: int,
                      max_parents: int | None = None) -> tuple[Dag, float, int]:
-    """Plain K2 restarts on already-discrete data, walked at once with a
-    shared score cache; the best ``(graph, score, restart)``, ties to the
-    earliest restart.  Only the best restart's graph is built: its edges come
-    from :func:`k2_pass` over its order, which finds every ranking it reads
-    in the cache."""
+    """Plain K2 restarts on already-discrete data, walked at once; the best
+    ``(graph, score, restart)``, ties to the earliest restart.  Only the best
+    restart's graph is built: its edges come from a second walk over its
+    order, which finds every ranking it reads in the first walk's cache."""
     cache: dict = {}
     names = list(d_star.columns)
     orders = _random_orders(len(names), n_restarts, seed)
     r = int(np.argmax(_k2_walk(d_star, orders, max_parents, cache)[1]))
+    edges, score = _k2_walk(d_star, orders[r:r + 1], max_parents, cache)
     order = [names[i] for i in orders[r]]
-    edges, score = k2_pass(d_star, order, max_parents=max_parents, cache=cache)
-    return Dag({x: d_star.cardinalities[x] for x in order}, edges), score, r
+    return Dag({x: d_star.cardinalities[x] for x in order}, edges), float(score[0]), r

@@ -4,8 +4,9 @@ The objective oracles are computed with plain Python loops, tuples, and
 ``math.lgamma``; nothing is shared with the package beyond log-gamma itself,
 and they take raw value lists, not package data structures.  The K2
 reference loops are the older greedy search over the package's own family
-scores, one restart at a time, so they check the search, not the score.
-The joint reference rediscretizes through the package's ``discretize_all``,
+scores, one restart at a time, so they check the search, not the score;
+the exact structure search bounds what any restart can score.  The joint
+reference rediscretizes through the package's ``discretize_all``,
 so it checks the loop around the solves, not the solves.
 """
 
@@ -206,3 +207,46 @@ def k2_multi_restart_reference(d_star, n_restarts, seed, max_parents=None):
         if best is None or score > best[1]:
             best = (Dag({x: d_star.cardinalities[x] for x in order}, edges), score, r)
     return best
+
+
+def exact_structure(d_star, max_parents=2):
+    """The highest-scoring DAG with at most ``max_parents`` parents per node,
+    by the dynamic program over variable subsets of Silander & Myllymaki
+    (2006), every family scored by ``family_score``.
+
+    ``best_in[x, C]`` is x's best family score with parents inside the set C
+    (a bitmask); ``best[W]`` is the best network over the variables W, its
+    last node ``sink[W]`` taking its best parents among the rest of W.  Each
+    sink's parent set is read back with ties toward fewer parents."""
+    names = list(d_star.columns)
+    n = len(names)
+    masks = np.arange(1 << n)
+    scored = [{} for _ in names]  # scored[x][parents] = family score
+    best_in = np.full((n, 1 << n), -np.inf)
+    for x, name in enumerate(names):
+        others = [j for j in range(n) if j != x]
+        for k in range(max_parents + 1):
+            for parents in itertools.combinations(others, k):
+                score = family_score(name, [names[j] for j in parents], d_star)
+                scored[x][parents] = best_in[x, sum(1 << j for j in parents)] = score
+        for j in range(n):  # the best over C's subsets, one element at a time
+            has = masks[masks & (1 << j) != 0]
+            best_in[x, has] = np.maximum(best_in[x, has], best_in[x, has ^ (1 << j)])
+    size = np.array([bin(w).count("1") for w in masks])
+    best, sink = np.zeros(1 << n), np.zeros(1 << n, dtype=int)
+    for k in range(1, n + 1):
+        ws = masks[size == k]
+        options = np.full((n, len(ws)), -np.inf)
+        for x in range(n):
+            has = ws & (1 << x) != 0
+            rest = ws[has] ^ (1 << x)
+            options[x, has] = best[rest] + best_in[x, rest]
+        sink[ws], best[ws] = options.argmax(axis=0), options.max(axis=0)
+    edges, w = [], (1 << n) - 1
+    while w:
+        x = int(sink[w])
+        w ^= 1 << x
+        parents = max((p for p in scored[x] if all(w >> j & 1 for j in p)),
+                      key=lambda p: (scored[x][p], -len(p)))
+        edges += [(names[j], names[x]) for j in parents]
+    return Dag(dict(d_star.cardinalities), edges), float(best[-1])

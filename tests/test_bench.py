@@ -1,7 +1,9 @@
-"""The summary and the dirty-tree hash of ``scripts/bench.py``, on
-hand-made run results and a temporary git repository (no benchmark run)."""
+"""The summary, the dirty-tree hash and the output files of
+``scripts/bench.py``, on hand-made run results and a temporary git
+repository (no benchmark run)."""
 
 import importlib.util
+import json
 import os
 import subprocess
 
@@ -77,3 +79,34 @@ def test_dirty_tree_hash_names_the_edit_of_the_timed_paths(tmp_path):
     (repo / "src" / "a.py").write_text("x = 2\n")
     _git(repo, "add", "src/a.py")
     assert diff_sha256(repo) == first
+
+
+def test_each_recording_keeps_its_own_baseline(tmp_path, monkeypatch):
+    bench = _bench()
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "seed")
+    checkouts = set()
+
+    def timed(checkout, workload, seed, seconds, trace):
+        checkouts.add(checkout)
+        return _metrics(0.5, -3.0)
+    monkeypatch.setattr(bench, "ROOT", str(repo))
+    monkeypatch.setattr(bench, "run_once", timed)
+    assert bench.main(["--slug", "one", "--against", "HEAD", "--seconds", "1"]) == 0
+    # this checkout and the extracted baseline were both timed
+    assert len(checkouts) == 2 and str(repo) in checkouts
+    first = {name: (repo / name).read_text()
+             for name in ("BENCH_one.json", "BENCH_one_baseline.json")}
+    docs = {name: json.loads(text) for name, text in first.items()}
+    assert docs["BENCH_one.json"]["paired_with"] == ["one_baseline"]
+    assert docs["BENCH_one_baseline.json"]["paired_with"] == ["one"]
+    assert not (repo / "BENCH_baseline.json").exists()
+    # a second recording writes its own pair and leaves the first as it was
+    assert bench.main(["--slug", "two", "--against", "HEAD", "--seconds", "1"]) == 0
+    assert json.loads((repo / "BENCH_two.json").read_text())["paired_with"] == ["two_baseline"]
+    assert (repo / "BENCH_two_baseline.json").exists()
+    assert {name: (repo / name).read_text() for name in first} == first

@@ -233,6 +233,23 @@ def test_underflowing_gap_is_data_error_for_bayes_only(tmp_path, method, code):
         assert "gap between its values underflows relative to its range" in r.output
 
 
+@pytest.mark.parametrize("method, code", [("bayes", 3), ("mdl", 0)])
+def test_subnormal_range_is_data_error_for_bayes_only(tmp_path, method, code):
+    # the range 1e-323 is subnormal, so the prior's L / range overflows to
+    # inf and would price every interval length at inf * 0 = NaN
+    x = [0.0, 5e-324, 1e-323] * 4
+    data = tmp_path / "tiny_range.csv"
+    data.write_text("a,x\n" + "".join(f"{1 + i % 2},{v!r}\n" for i, v in enumerate(x)))
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"nodes": [{"name": "a"}, {"name": "x"}], "edges": [["a", "x"]]}))
+    r = run(["discretize", "--data", str(data), "--structure", str(tmp_path / "g.json"),
+             "--method", method, "--out", str(tmp_path / "o")])
+    assert r.exit_code == code, r.output
+    if code:
+        assert "data error: variable 'x'" in r.output
+        assert "range of its values is too small" in r.output
+
+
 def test_non_utf8_csv_is_data_error(workdir):
     bad = workdir / "latin1.csv"
     bad.write_bytes("a,x,y\n1,0.5,0.1\n2,0.7,caf\u00e9\n".encode("latin-1"))

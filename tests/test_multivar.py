@@ -175,10 +175,26 @@ def test_naive_bayes_features_are_solved_once(monkeypatch, method):
 
 @pytest.mark.parametrize("method", ["bayes", "mdl"])
 def test_discretize_all_on_edgeless_graph_gives_one_interval(method):
-    # with an empty blanket the objective has only its penalty, so a fixed
-    # structure collapses every isolated variable to one interval
+    # with an empty blanket the objective has only its prior; no Wine
+    # variable has a gap wide enough for that prior alone to split it
     d = load_csv(os.path.join(DATA_DIR, "wine.csv"),
                  load_schema(os.path.join(DATA_DIR, "wine.schema.json")))
     pset = discretize_all(d, Dag(d.names), method=method)
     assert set(pset.policies) == set(d.continuous_names())
     assert all(p.k == 1 for p in pset.policies.values())
+
+
+def _isolated_edges(values, method):
+    d = MixedDataset([Variable("x", "continuous")], {"x": np.array(values, dtype=float)})
+    return discretize_all(d, Dag(d.names), method=method).policies["x"].edges
+
+
+def test_bayes_prior_alone_splits_an_isolated_variable_at_a_wide_gap():
+    # with an empty blanket L = 2, and a split at a gap g of the range r moves
+    # the prior by -ln(e^z - 1), z = 2g/r: a gain once g/r > ln 2 / 2 = 0.3466
+    clusters = [0, 0.1, 0.2, 0.3, 3.0, 3.1] * 3
+    assert _isolated_edges(clusters, "bayes") == (1.65,)
+    assert _isolated_edges(clusters, "mdl") == ()
+    for gap, want in ((0.347, (0.5,)), (0.345, ())):
+        end = (1 - gap) / 2
+        assert _isolated_edges([0, end, 1 - end, 1] * 3, "bayes") == want, gap
