@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -94,9 +95,17 @@ def _refuse_given(why: str, *params: str) -> None:
 def _write(out_dir: str, name: str, text: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w") as f:
+    with open(path, "w", newline="") as f:
         f.write(text)
     return path
+
+
+def _write_csv(out_dir: str, name: str, fields: list[str], rows: list[dict]) -> str:
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=fields)
+    w.writeheader()
+    w.writerows(rows)
+    return _write(out_dir, name, buf.getvalue())
 
 
 @click.group()
@@ -171,6 +180,9 @@ def learn(data, schema, method, seed, restarts, max_parents, out):
 def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
              restarts, max_parents, out):
     """Cross-validated normalized log-likelihood per method."""
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ConfigError(f"--method given more than once: {', '.join(repeated)}")
     if nb_class is not None:
         _refuse_given("--naive-bayes uses the naive-Bayes structure",
                       "structure", "restarts", "max_parents")
@@ -211,16 +223,6 @@ def evaluate(data, schema, structure, methods, k, nb_class, seed, folds,
                 "means": [r.mean for r in reports],
                 "best": max(reports, key=lambda r: r.mean).method}
         _write(out, "cv_comparison.json", json.dumps(comp, indent=2))
-
-
-def _write_csv(out_dir: str, name: str, fields: list[str], rows: list[dict]) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=fields)
-        w.writeheader()
-        w.writerows(rows)
-    return path
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ configuration.  Count tables over any contiguous interval of sorted rows are
 then cheap bincounts, and interval sweeps can extend counts one row at a
 time.  One mixed-radix encoder, :func:`prefix_codes`, codes every joint
 configuration: a blanket block or a family takes its last entry through
-:func:`joint_codes`, and a K2 ranking reads every prefix of one pass over
+:func:`column_codes`, and a K2 ranking reads every prefix of one pass over
 the family.  Every cardinality, the prior's L included, comes from the
 discretized data, not from the graph.  No code is checked here: a
 ``DiscreteDataset`` checks its codes once, when it is made.
@@ -60,18 +60,13 @@ def prefix_codes(columns: list[np.ndarray], cards: list[int],
     return codes, radix
 
 
-def joint_codes(columns: list[np.ndarray], cards: list[int], n: int) -> tuple[np.ndarray, int]:
-    """Mixed-radix code of ``n`` rows of 1-based columns, the first column
+def column_codes(d_star: DiscreteDataset, names) -> tuple[np.ndarray, int]:
+    """Mixed-radix code of the named columns of ``d_star``, the first name
     least significant, and the number of joint configurations: the last
     entry of :func:`prefix_codes`."""
-    codes, radix = prefix_codes(columns, cards, n)
+    codes, radix = prefix_codes([d_star.columns[v] for v in names],
+                                [d_star.cardinalities[v] for v in names], d_star.n_rows)
     return codes[-1], radix[-1]
-
-
-def column_codes(d_star: DiscreteDataset, names) -> tuple[np.ndarray, int]:
-    """:func:`joint_codes` of the named columns of ``d_star``."""
-    return joint_codes([d_star.columns[v] for v in names],
-                       [d_star.cardinalities[v] for v in names], d_star.n_rows)
 
 
 def family_counts(d_star: DiscreteDataset, x: str, parents) -> np.ndarray:
@@ -95,15 +90,13 @@ def build_context(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn) ->
     perm = col.permutation
     n = len(perm)
     columns, cards = d_star.columns, d_star.cardinalities
-    parents = sorted(parents)
-    value, j = joint_codes(
-        [columns[p][perm] for p in parents], [cards[p] for p in parents], n)
+    value, j = column_codes(d_star, sorted(parents))
+    value = value[perm]
     blocks = [Block(value, j, np.zeros(n, dtype=np.int64), 1, value)]
     for child, spouse_set in zip(children, spouses):
         value = columns[child][perm] - 1
-        names = sorted(spouse_set)
-        cond, j_cond = joint_codes(
-            [columns[s][perm] for s in names], [cards[s] for s in names], n)
+        cond, j_cond = column_codes(d_star, sorted(spouse_set))
+        cond = cond[perm]
         blocks.append(Block(value, cards[child], cond, j_cond, cond + value * j_cond))
     return NeighborContext(n, blocks, max((cards[b] for b in g.markov_blanket(x)), default=2))
 

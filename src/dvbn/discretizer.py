@@ -16,7 +16,7 @@ from .counts import NeighborContext, build_context
 from .dataset import DiscreteDataset, SortedColumn
 from .errors import DataError, ValidationError
 from .graph import Dag
-from .policy import DiscretizationPolicy, representations
+from .policy import DiscretizationPolicy, midpoint_candidates, representations
 from .scoring import (BLOCK_ELEMENTS, TABLE_SIZES, _logs, h_matrix, mdl_h_matrix,
                       mdl_interval_term, neg_log1m_exp)
 
@@ -79,18 +79,17 @@ def bayes_dp(col: SortedColumn, chunks, L: int):
             t = int(c.argmin())
             rS[m - v] = c[t]
             back[v] = v - 1 - t
-    return _edges_from_back(back, col), rS[::-1].tolist(), back, W
-
-
-def _edges_from_back(back: list[int], col: SortedColumn) -> tuple[float, ...]:
-    u0 = col.uniques
-    edges = []
-    v = len(back) - 1
+    splits, v = [], m
     while back[v] != 0:
-        u = back[v]
-        edges.append(float(u0[u - 1] + u0[u]) / 2.0)
-        v = u
-    return tuple(reversed(edges))
+        v = back[v]
+        splits.append(v)
+    return _edges(col, splits), rS[::-1].tolist(), back, W
+
+
+def _edges(col: SortedColumn, splits: list[int]) -> tuple[float, ...]:
+    """Edges at the 1-based unique-value splits, last first: u cuts after unique u."""
+    mids = midpoint_candidates(col)
+    return tuple(float(mids[u - 1]) for u in reversed(splits))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +184,6 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
     taking the argmin of its row, whose first hit is the larger split.
     """
     m = col.m
-    u0 = col.uniques
     need = 8 * mdl_dp_elements(m)
     if need > MAX_DENSE_BYTES:
         raise DataError(f"a column with {m} unique values needs {need / 2**30:.1f} GiB for "
@@ -237,17 +235,16 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
 
     best_total = min(per_k)  # its first hit is the smaller k
     best_k = per_k.index(best_total) + 1
-    edges = []
+    splits = []
     v = m
     for k in range(best_k, 1, -1):
         # end v's row of layer k, as the layer added it; a split past the
         # end is +inf there and never the minimum
         r = m - k + 1
         prev = sums[r * (r + 1) // 2:(r + 1) * (r + 2) // 2][-2::-1]
-        u = m - 1 - int((hT[v - 1, :r] + prev).argmin())
-        edges.append(float(u0[u - 1] + u0[u]) / 2.0)
-        v = u
-    return tuple(reversed(edges)), best_total, per_k
+        v = m - 1 - int((hT[v - 1, :r] + prev).argmin())
+        splits.append(v)
+    return _edges(col, splits), best_total, per_k
 
 
 def check_method(method: str) -> None:
@@ -264,9 +261,9 @@ def discretize_one(d_star: DiscreteDataset, g: Dag, x: str, col: SortedColumn,
     if col.m == 1:
         return _policy(col)
     ctx = build_context(d_star, g, x, col)
-    if method == "bayes":
-        try:
+    try:
+        if method == "bayes":
             return _policy(col, bayes_dp(col, h_matrix(ctx, col), ctx.L)[0])
-        except DataError as e:
-            raise DataError(f"variable {x!r}: {e}") from e
-    return _policy(col, mdl_dp(col, mdl_h_matrix(ctx, col), ctx)[0])
+        return _policy(col, mdl_dp(col, mdl_h_matrix(ctx, col), ctx)[0])
+    except DataError as e:
+        raise DataError(f"variable {x!r}: {e}") from e

@@ -165,9 +165,7 @@ def cross_validate(d: MixedDataset, method: str, structure: Dag | None = None,
 # ---------------------------------------------------------------------------
 
 def naive_bayes_structure(d: MixedDataset, class_var: str) -> Dag:
-    return Dag({v.name: (v.cardinality if v.kind == "discrete" else None)
-                for v in d.variables},
-               [(class_var, name) for name in d.names if name != class_var])
+    return Dag(d.names, [(class_var, name) for name in d.names if name != class_var])
 
 
 def _nb_predict(model: TrainedModel, d_star_test: DiscreteDataset,

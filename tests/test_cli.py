@@ -428,3 +428,18 @@ def test_evaluate_k_with_uniform_among_methods_is_accepted(workdir):
              "--seed", "0", "--folds", "2", "--out", str(out)])
     assert r.exit_code == 0, r.output
     assert (out / "cv_uniform.json").exists()
+
+
+@pytest.mark.parametrize("extra", [["--structure", "g.json"], ["--naive-bayes", "a"]],
+                         ids=["fixed", "naive_bayes"])
+def test_evaluate_repeated_method_is_config_error(workdir, extra):
+    # a repeated method would rerun its CV and write each fold twice
+    extra = [str(workdir / v) if v.endswith(".json") else v for v in extra]
+    r = run(["evaluate", "--data", str(workdir / "missing.csv"),
+             "--method", "bayes", "--method", "mdl", "--method", "bayes",
+             "--seed", "0", "--out", str(workdir / "o"), *extra])
+    # rejected before the data is read: the data path does not exist
+    assert r.exit_code == 2, r.output
+    assert "config error: --method given more than once: bayes" in r.output
+    assert "mdl" not in r.output
+    assert not (workdir / "o").exists()

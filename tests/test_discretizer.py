@@ -11,7 +11,7 @@ from dvbn.counts import build_context
 from dvbn.dataset import DiscreteDataset, SortedColumn, sorted_column, sorted_view
 from dvbn.discretizer import (bayes_dp, discretize_one, mdl_dp, mdl_dp_elements,
                               mdl_objective, mdl_penalty)
-from dvbn.errors import ValidationError
+from dvbn.errors import DataError, ValidationError
 from dvbn.graph import Dag
 from dvbn.policy import DiscretizationPolicy, midpoint_candidates
 from dvbn.scoring import h_matrix, mdl_h_matrix, neg_log1m_exp, objective
@@ -181,6 +181,13 @@ def test_layer_penalty_tables_cannot_be_mutated():
     got[:] = [0.0] * len(got)
     assert discretizer._penalties(50, 160, 9, 3) == want
     assert log_k.tolist() == [math.log(k) for k in range(1, 51)]
+
+
+def test_mdl_solve_error_names_its_variable(monkeypatch):
+    d_star, g, col = blanket_instance(40, 0)
+    monkeypatch.setattr(discretizer, "MAX_DENSE_BYTES", 8 * mdl_dp_elements(col.m) - 1)
+    with pytest.raises(DataError, match=r"^variable 'X': a column with \d+ unique values"):
+        discretize_one(d_star, g, "X", col, method="mdl")
 
 
 def test_dispatcher_rejects_unknown_method():

@@ -11,7 +11,8 @@ from dvbn import counts, multivar, structure
 from dvbn.dataset import DiscreteDataset, MixedDataset, Variable, load_csv, load_schema
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
-from dvbn.multivar import apply_policies, equal_width_set, initial_interval_count
+from dvbn.multivar import (apply_policies, discretize_all, equal_width_set,
+                           initial_interval_count)
 from dvbn.structure import (family_score, k2_multi_restart, k2_pass,
                             learn_dvbn, multi_restart, network_score)
 from oracles import (exact_structure, k2_multi_restart_reference, k2_pass_reference,
@@ -484,6 +485,26 @@ def test_joint_learn_matches_reference_loop_exactly(monkeypatch):
             m.setattr(structure, "learn_dvbn", learn_dvbn_reference)
             want = multi_restart(d, 3, seed=seed, max_parents=2).to_json()
         assert got == want, seed
+
+
+def test_learn_and_discretize_agree_wherever_a_variable_has_a_blanket():
+    # the joint learner keeps an isolated variable's equal-width seed, where
+    # discretize_all solves its prior-only objective; every other continuous
+    # variable gets the policy that discretize_all finds on the learned graph
+    iris = load_csv(os.path.join(DATA_DIR, "iris.csv"),
+                    load_schema(os.path.join(DATA_DIR, "iris.schema.json")))
+    isolated = 0
+    for i, d in enumerate([iris, planted_chain(250, 0),
+                           *(random_mixed(seed)[0] for seed in range(60))]):
+        for method in ("bayes", "mdl"):
+            res = multi_restart(d, 1, i, max_parents=2, method=method)
+            fixed = discretize_all(d, res.graph, method=method).policies
+            for x in d.continuous_names():
+                if res.graph.markov_blanket(x):
+                    assert fixed[x] == res.policies.policies[x], (i, method, x)
+                else:
+                    isolated += 1
+    assert isolated  # the rules differ there, so some run must have one
 
 
 def test_joint_learning_learns_edges_on_wine():
