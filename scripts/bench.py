@@ -13,10 +13,12 @@ baseline: every (seed, workload) pair runs on both sides, and the side that
 runs first alternates from seed to seed.
 A run that reports ``correct: false`` or a failed operation stops the
 recorder.  A side whose timed paths differ from its commit is recorded as
-``dirty``, with the sha256 of that difference.  After the timed runs, one
-``--trace 1`` run per workload and side records the layer calls and self
-times.  ``run.py`` prints only calibrated times (CPU seconds scaled to a
-nominal machine), so no raw CPU time is recorded.
+``dirty``, with the sha256 of that difference.  After the timed runs,
+``TRACE_RUNS`` ``--trace 1`` runs per workload and side, all on the first
+seed, alternate sides as the timed runs do; the median of each layer metric
+(calls, self times, counters) is recorded.  ``run.py`` prints only
+calibrated times (CPU seconds scaled to a nominal machine), so no raw CPU
+time is recorded.
 """
 
 import argparse
@@ -34,6 +36,8 @@ import numpy
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ["synth_blanket", "wine_fixed", "iris_nb"]
 SEEDS = list(range(10))
+#: ``--trace 1`` runs per workload and side, on ``SEEDS[0]``.
+TRACE_RUNS = 3
 #: The paths whose changes alter what a run times.
 TIMED_PATHS = ("src", "perfbench", "data")
 
@@ -80,7 +84,8 @@ def diff_sha256(checkout: str) -> str | None:
 
 def record(sides: dict, seconds: float) -> dict:
     """Time every side (slug -> (checkout, commit, diff_sha256)) in
-    alternation; the BENCH document of each side."""
+    alternation, then trace it in alternation; the BENCH document of each
+    side."""
     runs = {slug: {w: [] for w in WORKLOADS} for slug in sides}
     for i, seed in enumerate(SEEDS):
         for w in WORKLOADS[i % len(WORKLOADS):] + WORKLOADS[:i % len(WORKLOADS)]:
@@ -89,8 +94,13 @@ def record(sides: dict, seconds: float) -> dict:
                 runs[slug][w].append(run_once(sides[slug][0], w, seed, seconds, 0))
                 print(f"seed {seed} {w} {slug}: k2_s {runs[slug][w][-1]['k2_s']['value']:.4f}",
                       file=sys.stderr)
+    traces = {slug: {w: [] for w in WORKLOADS} for slug in sides}
+    for i in range(TRACE_RUNS):
+        for w in WORKLOADS:
+            for slug in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+                traces[slug][w].append(run_once(sides[slug][0], w, SEEDS[0], seconds, 1))
     docs = {}
-    for slug, (checkout, commit, diff) in sides.items():
+    for slug, (_, commit, diff) in sides.items():
         docs[slug] = {
             "commit": commit, "dirty": diff is not None, "diff_sha256": diff,
             "seeds": SEEDS, "seconds": seconds,
@@ -98,8 +108,9 @@ def record(sides: dict, seconds: float) -> dict:
             "python": platform.python_version(), "numpy": numpy.__version__,
             "cpu_count": os.cpu_count(), "paired_with": sorted(set(sides) - {slug}),
             "workloads": {w: {"end_to_end": summarize(runs[slug][w]),
-                              "layers": {name: m["value"] for name, m in
-                                         run_once(checkout, w, SEEDS[0], seconds, 1).items()}}
+                              "layers": {name: statistics.median(r[name]["value"]
+                                                                 for r in traces[slug][w])
+                                         for name in traces[slug][w][0]}}
                           for w in WORKLOADS}}
     return docs
 

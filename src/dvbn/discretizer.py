@@ -152,18 +152,19 @@ def mdl_objective(policy: DiscretizationPolicy, col: SortedColumn,
 
 
 def _mdl_block_elements(m: int) -> int:
-    """Elements of :func:`mdl_dp`'s layer buffer: the largest layer, or one
-    block of :data:`BLOCK_ELEMENTS`, but never less than one row."""
-    return min((m - 1) ** 2, max(BLOCK_ELEMENTS, m - 1))
+    """Elements of :func:`mdl_dp`'s layer buffer: the full kernel rows of the
+    largest layer, or one block of :data:`BLOCK_ELEMENTS`, but never less than
+    one row."""
+    return min((m - 1) * m, max(BLOCK_ELEMENTS, m - 1))
 
 
 def mdl_dp_elements(m: int) -> int:
     """8-byte elements that :func:`mdl_dp` holds at its peak for a column of
     m unique values: the end-major kernel, the best sums of every layer,
-    one layer block of at most :data:`BLOCK_ELEMENTS`, a few m-vectors, and
-    the iterator buffers (``np.getbufsize()`` elements per operand) of a
-    block's strided add."""
-    return (m * m + m * (m + 1) // 2 + _mdl_block_elements(m) + 8 * m
+    one layer buffer (:func:`_mdl_block_elements`), a few m-vectors (with
+    ``pad`` and the row starts), and the iterator buffers
+    (``np.getbufsize()`` elements per operand) of a block's strided add."""
+    return (m * m + m * (m + 1) // 2 + _mdl_block_elements(m) + 10 * m
             + 3 * np.getbufsize())
 
 
@@ -175,13 +176,15 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
     ``(edges, total, per_k_totals)`` where ``per_k_totals[k-1]`` is the full
     MDL objective of the best k-interval policy.
 
-    A layer whose candidates fit in :data:`BLOCK_ELEMENTS` is one add and one
-    row minimum.  A larger layer goes in row blocks ``[j1, j2)`` of at most
-    that many elements, each over only the columns ``[r-j2, r)`` that hold
-    its live splits: every column left out is a split past the end of each
-    row.  Every layer's best sums are kept, and no split: the best k's path
-    is found afterwards, one end per layer, by redoing that end's add and
-    taking the argmin of its row, whose first hit is the larger split.
+    A layer whose whole kernel rows fit in :data:`BLOCK_ELEMENTS` is one add
+    and one ``reduceat`` row minimum over those rows: past its candidates a
+    row meets only +inf, from the poisoned kernel or from ``pad``.  A larger
+    layer goes in row blocks ``[j1, j2)`` of at most that many elements, each
+    over only the columns ``[r-j2, r)`` that hold its live splits: every
+    column left out is a split past the end of each row.  Every layer's best
+    sums are kept, and no split: the best k's path is found afterwards, one
+    end per layer, by redoing that end's add and taking the argmin of its
+    row, whose first hit is the larger split.
     """
     m = col.m
     need = 8 * mdl_dp_elements(m)
@@ -207,30 +210,34 @@ def mdl_dp(col: SortedColumn, chunks, ctx: NeighborContext):
     s[:] = hT[:, m - 1]                    # k = 1: single interval over prefix
     per_k = [pen[0] + float(s[m - 1])]
     buf = np.empty(_mdl_block_elements(m))
+    # pad[:r] holds layer k-1's best sums over the splits u = m-1 .. k-1 of
+    # layer k, and +inf from r on for the splits below the layer
+    pad = np.full(m, np.inf)
+    pad[:m - 1] = s[-2::-1]
+    starts = np.arange(0, m * m, m)
     for k in range(2, m + 1):
         r = m - k + 1
-        # row j: candidates u = m-1 .. k-1 for end v = k+j; prev holds layer
-        # k-1's best sums over the prefixes that end at those u.  Only the last
-        # j+1 columns of row j are live splits.  A layer that fits one block
-        # skips the block loop: through the loop, whose bookkeeping (bounds,
-        # a copy) costs a few us a layer, the MDL solves of Wine and Iris,
-        # all of them small, took 14-16% longer.
-        prev, s = s[-2::-1], sums[r * (r - 1) // 2:r * (r + 1) // 2]
-        if r * r <= BLOCK_ELEMENTS:
-            a = np.add(hT[k - 1:, :r], prev, out=buf[:r * r].reshape(r, r))
-            np.minimum.reduce(a, axis=1, out=s)
+        # row j: candidates u = m-1 .. k-1 for end v = k+j.  Only the last
+        # j+1 of them are live splits.  Layers that fit one block skip the
+        # block loop: through it, whose bookkeeping (bounds, row starts)
+        # costs a few us a layer, the small MDL solves of the Iris
+        # naive-Bayes protocol took about 5% longer.
+        s = sums[r * (r - 1) // 2:r * (r + 1) // 2]
+        if r * m <= BLOCK_ELEMENTS:
+            a = buf[:r * m]
+            np.add(hT[k - 1:], pad, out=a.reshape(r, m))
+            np.minimum.reduceat(a, starts[:r], out=s)
         else:
-            prev = np.ascontiguousarray(prev)
             j1 = 0
             while j1 < r:
                 # the most rows [j1, j2) whose live columns [r-j2, r) fit
                 j2 = (j1 + math.isqrt(j1 * j1 + 4 * BLOCK_ELEMENTS)) // 2
                 j2 = min(r, max(j1 + 1, j2))
-                c = r - j2
-                a = np.add(hT[k - 1 + j1:k - 1 + j2, c:r], prev[c:],
-                           out=buf[:(j2 - j1) * j2].reshape(j2 - j1, j2))
-                np.minimum.reduce(a, axis=1, out=s[j1:j2])
+                c, a = r - j2, buf[:(j2 - j1) * j2]
+                np.add(hT[k - 1 + j1:k - 1 + j2, c:r], pad[c:r], out=a.reshape(j2 - j1, j2))
+                np.minimum.reduceat(a, np.arange(0, a.size, j2), out=s[j1:j2])
                 j1 = j2
+        pad[:r - 1], pad[r - 1] = s[-2::-1], np.inf
         per_k.append(pen[k - 1] + float(s[r - 1]))
 
     best_total = min(per_k)  # its first hit is the smaller k

@@ -13,14 +13,14 @@ import pytest
 
 from conftest import random_instance, random_mixed, random_policy
 from dvbn.counts import build_context, interval_counts
-from dvbn.dataset import (DiscreteDataset, MixedDataset, Variable, load_csv,
+from dvbn.dataset import (DiscreteDataset, load_csv,
                           load_schema, sorted_column, sorted_view)
 from dvbn.discretizer import discretize_one, mdl_objective, mdl_penalty
 from dvbn.evaluation import (cross_validate, fit_parameters, loglik_density,
                              loglik_discrete, naive_bayes_protocol)
 from dvbn.graph import Dag
 from dvbn.multivar import apply_policies, discretize_all
-from dvbn.policy import DiscretizationPolicy, equal_width, policy_from_lambda, representations
+from dvbn.policy import equal_width, policy_from_lambda, representations
 from dvbn.scoring import h, mdl_interval_term, objective, prior_terms
 from dvbn.structure import family_score, k2_multi_restart, k2_pass, network_score
 from oracles import oracle_objective

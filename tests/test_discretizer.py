@@ -306,6 +306,15 @@ def test_mdl_dp_matches_reference_in_small_blocks(monkeypatch, budget):
     _assert_mdl_dp_matches_reference(*blanket_instance(120, 0, 0))
 
 
+def test_mdl_dp_matches_reference_in_full_rows_at_width(monkeypatch):
+    # with a budget of m x m elements every layer of the 700-value solve,
+    # the widest first, adds whole kernel rows and takes reduceat row minima
+    d_star, g, col = blanket_instance(700, 700)
+    monkeypatch.setattr(discretizer, "BLOCK_ELEMENTS", col.m * col.m)
+    monkeypatch.setattr(scoring, "BLOCK_ELEMENTS", col.m * col.m)
+    _assert_mdl_dp_matches_reference(d_star, g, col)
+
+
 def test_mdl_dp_memory_projection_covers_its_traced_peak():
     d_star, g, col = blanket_instance(700, 700)
     ctx = build_context(d_star, g, "X", col)
@@ -354,7 +363,7 @@ def test_mdl_dp_tie_prefers_larger_split():
     assert (edges, total, per_k) == _mdl_dp_reference(col, hmdl, ctx)
 
 
-@pytest.mark.parametrize("budget", [None, 3], ids=["one_block", "row_blocks"])
+@pytest.mark.parametrize("budget", [None, 3], ids=["full_rows", "row_blocks"])
 @pytest.mark.parametrize("m, edges", [(5, (1.5, 3.5)), (7, (1.5, 3.5, 5.5))])
 def test_mdl_dp_tie_at_a_later_layer_prefers_larger_split(monkeypatch, m, edges, budget):
     # an interval of one or two values costs 1, a longer one 100, so the best

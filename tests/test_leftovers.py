@@ -1,6 +1,6 @@
-"""Leftover-code checks on the package and the scripts, with the standard
-library's ``ast`` only: an import that its module never uses, and a
-top-level function or class of the package that nothing else names."""
+"""Leftover-code checks on the package, the scripts and the tests, with the
+standard library's ``ast`` only: an import that its module never uses, and
+a top-level function or class of the package that nothing else names."""
 
 import ast
 import re
@@ -9,6 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "dvbn").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 SEARCHED = [p for d in ("src", "tests", "scripts", "perfbench")
             for p in sorted((ROOT / d).rglob("*.py"))]
 
@@ -38,7 +39,7 @@ def _used(tree: ast.Module) -> set[str]:
 
 def test_every_import_is_used():
     unused = []
-    for path in PACKAGE + SCRIPTS:
+    for path in PACKAGE + SCRIPTS + TESTS:
         tree = ast.parse(path.read_text(), str(path))
         used = _used(tree)
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
