@@ -16,7 +16,12 @@ recorder.  A side whose timed paths differ from its commit is recorded as
 ``dirty``, with the sha256 of that difference.  After the timed runs,
 ``TRACE_RUNS`` ``--trace 1`` runs per workload and side, all on the first
 seed, alternate sides as the timed runs do; the median of each layer metric
-(calls, self times, counters) is recorded.  ``run.py`` prints only
+(calls, self times, counters) is recorded.  With ``--against``, this
+checkout's file also records, for each workload and end-to-end metric of
+``BENCHMARK.json``, in how many pairs the change was better (ties count for
+neither), its median gap over the baseline, and whether that gap exceeds
+the distance between the baseline's quartiles: a claimed gain needs nine
+wins in ten pairs and such a gap.  ``run.py`` prints only
 calibrated times (CPU seconds scaled to a nominal machine), so no raw CPU
 time is recorded.
 """
@@ -40,6 +45,8 @@ SEEDS = list(range(10))
 TRACE_RUNS = 3
 #: The paths whose changes alter what a run times.
 TIMED_PATHS = ("src", "perfbench", "data")
+#: The benchmark's declaration, which says whether each metric is better lower.
+BENCHMARK = os.path.join(ROOT, "BENCHMARK.json")
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -53,6 +60,25 @@ def summarize(runs: list[dict]) -> dict:
         out[name] = {"unit": runs[0][name]["unit"], "values": values,
                      "min": min(values), "q1": q1, "median": median, "q3": q3}
     return out
+
+
+def compare(change: dict, baseline: dict, better: dict) -> dict:
+    """Per end-to-end metric of two :func:`summarize` results of the same
+    pairs of runs, named with its direction in ``better``: how many pairs the
+    change won (ties count for neither), its median gap over the baseline
+    (positive when the change is better), the baseline's interquartile
+    distance, and whether the gap exceeds it."""
+    out = {}
+    for name in change.keys() & better.keys():
+        sign = 1 if better[name] == "lower" else -1
+        ours, theirs = change[name], baseline[name]
+        gap = sign * (theirs["median"] - ours["median"])
+        iqr = theirs["q3"] - theirs["q1"]
+        out[name] = {"better": better[name], "pairs": len(ours["values"]),
+                     "won": sum(sign * (b - a) > 0
+                                for a, b in zip(ours["values"], theirs["values"])),
+                     "median_gap": gap, "baseline_iqr": iqr, "gap_exceeds_iqr": gap > iqr}
+    return dict(sorted(out.items()))
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -85,7 +111,8 @@ def diff_sha256(checkout: str) -> str | None:
 def record(sides: dict, seconds: float) -> dict:
     """Time every side (slug -> (checkout, commit, diff_sha256)) in
     alternation, then trace it in alternation; the BENCH document of each
-    side."""
+    side.  With two sides, the first one's document compares it with the
+    second (:func:`compare`)."""
     runs = {slug: {w: [] for w in WORKLOADS} for slug in sides}
     for i, seed in enumerate(SEEDS):
         for w in WORKLOADS[i % len(WORKLOADS):] + WORKLOADS[:i % len(WORKLOADS)]:
@@ -112,6 +139,13 @@ def record(sides: dict, seconds: float) -> dict:
                                                                  for r in traces[slug][w])
                                          for name in traces[slug][w][0]}}
                           for w in WORKLOADS}}
+    if len(sides) == 2:
+        with open(BENCHMARK) as f:
+            better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        change, baseline = (docs[slug]["workloads"] for slug in sides)
+        for w in WORKLOADS:
+            change[w]["paired"] = compare(change[w]["end_to_end"],
+                                          baseline[w]["end_to_end"], better)
     return docs
 
 

@@ -7,12 +7,13 @@ under a condition.  Block 0 is the joint parent configuration under a single
 condition; each later block is one child given its joint spouse
 configuration.  Count tables over any contiguous interval of sorted rows are
 then cheap bincounts, and interval sweeps can extend counts one row at a
-time.  One mixed-radix encoder, :func:`prefix_codes`, codes every joint
-configuration: a blanket block or a family takes its last entry through
-:func:`column_codes`, and a K2 ranking reads every prefix of one pass over
-the family.  Every cardinality, the prior's L included, comes from the
-discretized data, not from the graph.  No code is checked here: a
-``DiscreteDataset`` checks its codes once, when it is made.
+time.  One mixed-radix encoder, :func:`prefix_codes`, codes the joint
+configurations of a blanket block or a family, which take its last entry
+through :func:`column_codes`; K2 rankings code the families of many states
+at once, in the same layout, from the stacked columns
+(``structure._chunk_scores``).  Every cardinality, the prior's L included,
+comes from the discretized data, not from the graph.  No code is checked
+here: a ``DiscreteDataset`` checks its codes once, when it is made.
 """
 
 from __future__ import annotations

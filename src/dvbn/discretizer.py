@@ -17,7 +17,7 @@ from .dataset import DiscreteDataset, SortedColumn
 from .errors import DataError, ValidationError
 from .graph import Dag
 from .policy import DiscretizationPolicy, midpoint_candidates, representations
-from .scoring import (BLOCK_ELEMENTS, TABLE_SIZES, _logs, h_matrix, mdl_h_matrix,
+from .scoring import (BLOCK_ELEMENTS, TABLE_SIZES, h_matrix, log_table, mdl_h_matrix,
                       mdl_interval_term, neg_log1m_exp)
 
 #: Largest total size, in bytes, of the dense m×m float64 arrays that the MDL
@@ -110,14 +110,15 @@ def _interval_count_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     k = 2..m−1, H the binary entropy in nats.  Each log is ``math.log``'s,
     and each product and sum is the scalar formula's, in its order.  The
     last :data:`TABLE_SIZES` values of m are memoized, as the count tables
-    are."""
-    log_k = _logs(1, m + 1)
+    are.  ``ln k`` is a view of one :func:`log_table` for every m below the
+    same power of two, so a miss builds only the entropy row."""
+    log_k = log_table(1 << m.bit_length())[1:m + 1]
     p = np.arange(1, m - 1) / (m - 1)  # p = (k − 1)/(m − 1), k = 2..m−1
     q = 1 - p
     log_p = np.fromiter(map(math.log, p.tolist()), float, len(p))
     log_q = np.fromiter(map(math.log, q.tolist()), float, len(q))
     entropy = (m - 1) * (-p * log_p - q * log_q)
-    log_k.flags.writeable = entropy.flags.writeable = False
+    entropy.flags.writeable = False
     return log_k, entropy
 
 

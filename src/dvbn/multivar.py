@@ -63,6 +63,11 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
     """Leaves-to-root passes of single-variable discretization over every
     continuous variable of ``d`` until the edge lists stop changing, starting
     from equal-width policies with :func:`initial_interval_count` intervals.
+
+    The edge lists and the set of variables still to re-solve decide every
+    later pass.  So when the end of a pass repeats an earlier one, the passes
+    cycle, and the state in which pass :data:`MAX_PASSES` would end is
+    returned without running the passes in between, unconverged.
     """
     check_method(method)
     cont_vars = g.reverse_topological(d.continuous_names())
@@ -79,6 +84,8 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
     # re-solved.  The graph gives only the blanket's shape.
     blankets = {y: g.markov_blanket(y) for y in cont_vars}
     stale = set(cont_vars)
+    seen: dict = {}  # the end state of each pass, to its index in ``ends``
+    ends: list = []
     for pass_count in range(1, MAX_PASSES + 1):
         changed = False
         for x in cont_vars:
@@ -93,6 +100,15 @@ def discretize_all(d: MixedDataset, g: Dag, *, method: str = "bayes") -> PolicyS
             d_star = d_star.replace_column(x, pol.apply_array(d.columns[x]), pol.k)
         if not changed:
             break
-    else:
+        state = (tuple(policies[x].edges for x in cont_vars), frozenset(stale))
+        if state in seen:
+            # every pass from ends[first] on repeats with this period
+            first = seen[state]
+            policies, d_star = ends[first + (MAX_PASSES - 1 - first) % (len(ends) - first)]
+            pass_count = MAX_PASSES
+            break
+        seen[state] = len(ends)
+        ends.append((dict(policies), d_star))
+    if changed:
         warnings.warn(NOT_CONVERGED, NotConvergedWarning, stacklevel=2)
     return PolicySet(policies, pass_count, not changed, d_star)

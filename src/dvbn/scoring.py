@@ -50,6 +50,14 @@ def _logs(lo: int, hi: int) -> np.ndarray:
     return np.fromiter(map(math.log, range(lo, hi)), float, hi - lo)
 
 
+def _log_entries(size: int) -> np.ndarray:
+    """ln k for k = 0..size-1, with ln 0 = -inf."""
+    out = np.empty(size)
+    out[0] = -np.inf
+    out[1:] = _logs(1, size)
+    return out
+
+
 def _klogk_entries(size: int) -> np.ndarray:
     """k·ln k for k = 0..size-1, with 0·ln 0 = 0."""
     out = np.zeros(size)
@@ -110,6 +118,8 @@ def _count_table(entries):
 
 #: ``log_gamma_table(top)[k]`` is ln Γ(k), bit-equal to ``gammaln(k)``.
 log_gamma_table = _count_table(_log_gamma_entries)
+#: ``log_table(top)[k]`` is ln k, ``math.log``'s.
+log_table = _count_table(_log_entries)
 #: ``klogk_table(top)[k]`` is k·ln k, bit-equal to ``xlogy(k, k)``.
 klogk_table = _count_table(_klogk_entries)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counts import column_codes, prefix_codes
+from .counts import column_codes
 from .dataset import DiscreteDataset, MixedDataset
 from .discretizer import check_method
 from .errors import ValidationError
@@ -31,8 +31,11 @@ def _scores(codes: np.ndarray, batch: int, q: int, r: int, n: int) -> np.ndarray
     beta = np.bincount(codes, minlength=batch * q * r).reshape(batch, q, r)
     # alpha = 1 everywhere, so alpha0 = r and lgamma(alpha) = 0
     lg = log_gamma_table(r + n)
-    return ((lg[r] - lg[r + beta.sum(axis=2)]).sum(axis=1)
-            + lg[1 + beta].reshape(batch, q * r).sum(axis=1))
+    # einsum sums the short r axis several times faster than sum(axis=2),
+    # and integer sums are exact in any order
+    configs = (lg[r] - lg[r + np.einsum("bqr->bq", beta)]).sum(axis=1)
+    beta += 1
+    return configs + lg[beta].reshape(batch, q * r).sum(axis=1)
 
 
 def family_score(x: str, parents, d_star: DiscreteDataset,
@@ -54,46 +57,93 @@ def network_score(g: Dag, d_star: DiscreteDataset) -> float:
     return sum(family_score(x, g.parents(x), d_star) for x in g.nodes)
 
 
-def _ranking(x: str, parents: tuple, d_star: DiscreteDataset) -> list:
-    """Every parent ``x`` could add to ``parents``, as ``(family score, name)``
-    pairs best first; each score is bit for bit :func:`family_score`'s.
+def _rankings(states: list, d_star: DiscreteDataset, stacked: np.ndarray) -> list[list]:
+    """The ranking of each ``(x, sorted parents)`` state: every parent ``x``
+    could add to its parents, as ``(family score, name)`` pairs best first;
+    each score is bit for bit :func:`family_score`'s.
 
-    One encoder pass over ``[x, *parents]`` gives every candidate's codes.
-    The candidates are scored in batches of equal-size count tables.  A
-    batch holds at most :data:`BLOCK_ELEMENTS` table cells and as many codes
-    (rows times families), or one family if that is larger."""
-    r, n = d_star.cardinalities[x], d_star.n_rows
-    columns, cards = d_star.columns, d_star.cardinalities
-    # below[i] codes [x, *parents[:i]] with radix[i] configurations, and
-    # full - below[i] = radix[i] * code(parents[i:]).  A candidate y at place
-    # i among the sorted parents goes between them: its family's code is
-    # below[i] + (y - 1) * radix[i] + (full - below[i]) * card_y.
-    family = (x, *parents)
-    below, radix = prefix_codes([columns[v] for v in family],
-                                [cards[v] for v in family], n)
-    below, radix = np.array(below[1:]), np.array(radix[1:])
-    full = below[-1]
-    by_card: dict[int, list[str]] = {}
-    for y in columns:
-        if y != x and y not in parents:
-            by_card.setdefault(cards[y], []).append(y)
-    ranking = []
-    for card, ys in by_card.items():
-        qr = int(radix[-1]) * card
-        # every term but y * radix[i], with each batch slot's offset added later
-        base = full * card - (card - 1) * below - radix[:, None]
-        step = max(1, BLOCK_ELEMENTS // max(qr, n))
-        for start in range(0, len(ys), step):
-            batch = ys[start:start + step]
-            place = [bisect(parents, y) for y in batch]
-            codes = np.array([columns[y] for y in batch])
-            codes *= radix[place, None]
-            codes += base[place]
-            codes += qr * np.arange(len(batch))[:, None]
-            scores = _scores(codes.ravel(), len(batch), qr // r, r, n).tolist()
-            ranking += zip(scores, batch)
-    ranking.sort(reverse=True)
-    return ranking
+    ``stacked`` is :func:`_stacked` of ``d_star``.  States with as many
+    parents are coded in chunks of at most :data:`BLOCK_ELEMENTS` codes per
+    candidate cardinality (or one state), and the candidates' families of a
+    chunk, across its states, are scored in batches of equal-size count
+    tables.  A batch holds at most :data:`BLOCK_ELEMENTS` table cells and as
+    many codes (rows times families), or one family if that is larger."""
+    n, n_cards = d_star.n_rows, len(set(d_star.cardinalities.values()))
+    by_size: dict[int, list[int]] = {}
+    for s, (_, parents) in enumerate(states):
+        by_size.setdefault(len(parents) + 1, []).append(s)
+    rankings = [[] for _ in states]
+    for size, group in by_size.items():
+        step = max(1, BLOCK_ELEMENTS // (n_cards * size * n))
+        for start in range(0, len(group), step):
+            chunk = group[start:start + step]
+            for s, scored in zip(chunk, _chunk_scores([states[s] for s in chunk],
+                                                      d_star, stacked)):
+                rankings[s] = sorted(scored, reverse=True)
+    return rankings
+
+
+def _chunk_scores(states: list, d_star: DiscreteDataset, stacked: np.ndarray) -> list[list]:
+    """Every candidate's ``(family score, name)``, for each state of a chunk
+    of :func:`_rankings`; the states have as many parents."""
+    names, cards, n = list(d_star.columns), d_star.cardinalities, d_star.n_rows
+    index = {v: k for k, v in enumerate(names)}
+    size = len(states[0][1]) + 1
+    family = np.fromiter((index[v] for x, parents in states for v in (x, *parents)),
+                         np.int64, len(states) * size).reshape(len(states), size)
+    radix = np.ones((len(states), size + 1), dtype=np.int64)
+    np.cumprod(np.array([cards[v] for v in names])[family], axis=1, out=radix[:, 1:])
+    # below[c, i] codes state c's [x, *parents[:i]] in radix[c, i + 1]
+    # configurations.  A candidate y (0-based) at place i goes between them:
+    # its family's code is below[c, i] + y * radix[c, i + 1]
+    # + (below[c, -1] - below[c, i]) * card_y.
+    below = stacked[family]
+    below *= radix[:, :size, None]
+    for i in range(1, size):
+        below[:, i] += below[:, i - 1]
+    tables, bases = {}, {}
+    for c, ((x, parents), radices) in enumerate(zip(states, radix.tolist())):
+        r = cards[x]
+        for k, y in enumerate(names):
+            if y != x and y not in parents:
+                i = bisect(parents, y)
+                b = bases.setdefault(cards[y], len(bases))
+                tables.setdefault((radices[-1] * cards[y] // r, r), []).append(
+                    (c, k, (b * len(states) + c) * size + i, radices[i + 1]))
+    # base[b, c, i]: the family's code but y * radix[c, i + 1], for candidates
+    # of the b-th cardinality
+    base = np.empty((len(bases), *below.shape), dtype=np.int64)
+    for card, b in bases.items():
+        np.multiply(below, 1 - card, out=base[b])
+        base[b] += card * below[:, -1:]
+    base = base.reshape(-1, n)
+    scored = [[] for _ in states]
+    for (q, r), families in tables.items():
+        step = max(1, BLOCK_ELEMENTS // max(q * r, n))
+        for start in range(0, len(families), step):
+            batch = families[start:start + step]
+            owner, ys, rows, place_radix = zip(*batch)
+            codes = stacked[list(ys)]
+            codes *= np.array(place_radix)[:, None]
+            codes += base[list(rows)]
+            codes += (q * r * np.arange(len(batch)))[:, None]
+            scores = _scores(codes.ravel(), len(batch), q, r, n).tolist()
+            for c, k, score in zip(owner, ys, scores):
+                scored[c].append((score, names[k]))
+    return scored
+
+
+def _stacked(d_star: DiscreteDataset) -> np.ndarray:
+    """The 0-based codes of ``d_star``'s columns, one row per column in its
+    column order."""
+    stacked = np.array(list(d_star.columns.values()), dtype=np.int64)
+    stacked -= 1
+    return stacked
+
+
+def _ranking(x: str, parents: tuple, d_star: DiscreteDataset) -> list:
+    """The ranking of one state, as :func:`_rankings` gives it."""
+    return _rankings([(x, parents)], d_star, _stacked(d_star))[0]
 
 
 def _k2_walk(d_star: DiscreteDataset, orders: np.ndarray,
@@ -105,52 +155,59 @@ def _k2_walk(d_star: DiscreteDataset, orders: np.ndarray,
     group reads its state's ranking and finds, for each of its orders, the
     first ranked candidate that precedes the node; the orders whose candidate
     does not strictly raise the family score stop there, and the rest split
-    by candidate into groups at the grown parent sets.  Each order's score is
-    the sum, in that order, of its nodes' last family scores.
+    by candidate into groups at the grown parent sets.  Every node's groups
+    advance together, one parent-set size at a time, and the states of a
+    size that the cache lacks are ranked in one :func:`_rankings` call.  Each
+    order's score is the sum, in that order, of its nodes' last family
+    scores.
 
     ``cache`` keeps each ranking under ``(x, parents, "ranked")``, beside the
     parentless scores that :func:`family_score` keeps there.  Rankings do not
     depend on the order, so every order walked over one cache shares them.
 
-    Returns the edges of every split in acceptance order, which for a single
-    order are its accepted edges, and every order's score."""
+    Returns the edges of every split, node by node in the first order and in
+    acceptance order within a node, which for a single order are its
+    accepted edges, and every order's score."""
     names = list(d_star.columns)
     index = {v: i for i, v in enumerate(names)}
+    stacked = _stacked(d_star)
     n_orders, length = orders.shape
     every = np.arange(n_orders)
     pos = np.full((n_orders, len(names)), length)
     pos[every[:, None], orders] = np.arange(length)
     last = np.zeros((n_orders, len(names)))
-    edges: list[tuple[str, str]] = []
-    for j in orders[0]:
-        x = names[j]
-        groups = [((), every, family_score(x, (), d_star, cache))]
-        while groups:
-            pa, rows, p_old = groups.pop()
+    edges: dict[int, list[tuple[str, str]]] = {j: [] for j in orders[0].tolist()}
+    groups = [(j, (), every, family_score(names[j], (), d_star, cache)) for j in edges]
+    while groups:
+        for j, _, rows, p_old in groups:
             last[rows, j] = p_old
-            if max_parents is not None and len(pa) >= max_parents:
-                continue
-            ranking = cache.get((x, pa, "ranked"))
-            if ranking is None:
-                ranking = cache[(x, pa, "ranked")] = _ranking(x, pa, d_star)
+        if max_parents is not None and len(groups[0][1]) >= max_parents:
+            break
+        states = [(names[j], pa) for j, pa, _, _ in groups
+                  if (names[j], pa, "ranked") not in cache]
+        for state, ranking in zip(states, _rankings(states, d_star, stacked)):
+            cache[(*state, "ranked")] = ranking
+        grown = []
+        for j, pa, rows, p_old in groups:
+            ranking = cache[(names[j], pa, "ranked")]
             # the candidates that strictly raise the score lead the ranking
             better = [index[y] for p_new, y in ranking if p_new > p_old]
             if not better:
                 continue
-            ahead = pos[rows[:, None], better] < pos[rows, j][:, None]
-            moves = ahead.any(axis=1)
-            first = ahead[moves].argmax(axis=1)
-            rows = rows[moves]
-            for k in np.unique(first):
+            here = pos[rows]
+            ahead = here[:, better] < here[:, j, None]
+            first = ahead.argmax(axis=1)
+            moves = ahead[every[:len(rows)], first]
+            first, rows = first[moves], rows[moves]
+            for k in np.flatnonzero(np.bincount(first)).tolist():
                 p_new, y = ranking[k]
-                group = rows[first == k]
-                grown = tuple(sorted(pa + (y,)))
-                edges.append((y, x))
-                groups.append((grown, group, p_new))
+                edges[j].append((y, names[j]))
+                grown.append((j, tuple(sorted(pa + (y,))), rows[first == k], p_new))
+        groups = grown
     score = np.zeros(n_orders)
     for column in np.take_along_axis(last, orders, axis=1).T:
         score += column
-    return edges, score
+    return [e for j in edges for e in edges[j]], score
 
 
 def k2_pass(d_star: DiscreteDataset, order: list[str],

@@ -7,7 +7,8 @@ reference loops are the older greedy search over the package's own family
 scores, one restart at a time, so they check the search, not the score;
 the exact structure search bounds what any restart can score.  The joint
 reference rediscretizes through the package's ``discretize_all``,
-so it checks the loop around the solves, not the solves.
+so it checks the loop around the solves, not the solves; the pass loop
+reference runs every pass through the package's ``discretize_one``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,16 @@ import itertools
 import math
 from collections import Counter
 
+import warnings
+
 import numpy as np
 
 from dvbn import multivar
-from dvbn.dataset import DiscreteDataset, MixedDataset
+from dvbn.dataset import DiscreteDataset, MixedDataset, sorted_view
 from dvbn.graph import Dag
-from dvbn.multivar import PolicySet, equal_width_set, initial_interval_count
+from dvbn.multivar import (MAX_PASSES, NOT_CONVERGED, NotConvergedWarning, PolicySet,
+                           apply_policies, equal_width_set, initial_interval_count)
+from dvbn.policy import equal_width
 from dvbn.structure import LearnResult, family_score, network_score
 
 
@@ -131,6 +136,35 @@ def oracle_mdl(x: list[float], parents: list[tuple[list[int], int]],
                             for r in range(n)]
             fit += mutual_info_times_n(list(cvals), joint_parent)
     return total - fit
+
+
+def discretize_all_reference(d, g, method="bayes"):
+    """The pass loop of ``discretize_all`` before it caught cycles: it
+    re-solves the stale variables, through ``multivar.discretize_one``, pass
+    after pass until nothing changes or :data:`MAX_PASSES` passes ran."""
+    cont_vars = g.reverse_topological(d.continuous_names())
+    cols = {x: sorted_view(d, x) for x in cont_vars}
+    policies = {x: equal_width(cols[x], initial_interval_count(d)) for x in cont_vars}
+    d_star = apply_policies(d, policies)
+    blankets = {y: g.markov_blanket(y) for y in cont_vars}
+    stale, changed, pass_count = set(cont_vars), False, 0
+    for pass_count in range(1, MAX_PASSES + 1):
+        changed = False
+        for x in cont_vars:
+            if x not in stale:
+                continue
+            stale.discard(x)
+            pol = multivar.discretize_one(d_star, g, x, cols[x], method=method)
+            if pol.edges != policies[x].edges:
+                changed = True
+                stale.update(y for y in cont_vars if x in blankets[y])
+            policies[x] = pol
+            d_star = d_star.replace_column(x, pol.apply_array(d.columns[x]), pol.k)
+        if not changed:
+            break
+    if changed:
+        warnings.warn(NOT_CONVERGED, NotConvergedWarning, stacklevel=2)
+    return PolicySet(policies, pass_count, not changed, d_star)
 
 
 def k2_pass_reference(d_star, order, max_parents=None, cache=None):

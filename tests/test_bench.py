@@ -81,14 +81,20 @@ def test_dirty_tree_hash_names_the_edit_of_the_timed_paths(tmp_path):
     assert diff_sha256(repo) == first
 
 
-def test_each_recording_keeps_its_own_baseline(tmp_path, monkeypatch):
-    bench = _bench()
+def _committed_repo(tmp_path):
+    """A git repository with one commit of one file under ``src``."""
     repo = tmp_path / "repo"
     (repo / "src").mkdir(parents=True)
     (repo / "src" / "a.py").write_text("x = 1\n")
     _git(repo, "init", "-q")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "seed")
+    return repo
+
+
+def test_each_recording_keeps_its_own_baseline(tmp_path, monkeypatch):
+    bench = _bench()
+    repo = _committed_repo(tmp_path)
     checkouts = set()
 
     def timed(checkout, workload, seed, seconds, trace):
@@ -110,3 +116,37 @@ def test_each_recording_keeps_its_own_baseline(tmp_path, monkeypatch):
     assert json.loads((repo / "BENCH_two.json").read_text())["paired_with"] == ["two_baseline"]
     assert (repo / "BENCH_two_baseline.json").exists()
     assert {name: (repo / name).read_text() for name in first} == first
+
+
+def test_the_change_records_its_pairs_won_and_its_gap_per_metric(tmp_path, monkeypatch):
+    bench = _bench()
+    repo = _committed_repo(tmp_path)
+
+    def timed(checkout, workload, seed, seconds, trace):
+        k2 = 0.5 + 0.01 * seed  # the baseline's quartiles are 0.045 apart
+        if checkout == str(repo):
+            # wine: lower in 9 of 10 pairs by far; iris: lower in every
+            # pair, but by less than the baseline's spread
+            k2 = {"wine_fixed": 0.6 if seed == 3 else 0.4 + 0.001 * seed,
+                  "iris_nb": k2 - 0.01}.get(workload, k2)
+        return _metrics(k2, -3.0)
+    monkeypatch.setattr(bench, "ROOT", str(repo))
+    monkeypatch.setattr(bench, "run_once", timed)
+    assert bench.main(["--slug", "one", "--against", "HEAD", "--seconds", "1"]) == 0
+    doc = json.loads((repo / "BENCH_one.json").read_text())["workloads"]
+    wine, iris, synth = (doc[w]["paired"] for w in ("wine_fixed", "iris_nb", "synth_blanket"))
+    assert set(wine) == {"k2_s", "nll_bayes"}
+    assert wine["k2_s"]["better"] == "lower" and wine["k2_s"]["pairs"] == 10
+    assert wine["k2_s"]["won"] == 9 and wine["k2_s"]["gap_exceeds_iqr"]
+    assert wine["k2_s"]["median_gap"] == pytest.approx(0.545 - 0.4055)
+    assert wine["k2_s"]["baseline_iqr"] == pytest.approx(0.045)
+    assert iris["k2_s"]["won"] == 10 and not iris["k2_s"]["gap_exceeds_iqr"]
+    assert iris["k2_s"]["median_gap"] == pytest.approx(0.01)
+    # equal runs: ties count for neither side
+    for paired in (wine, iris, synth):
+        assert paired["nll_bayes"] == {"better": "lower", "pairs": 10, "won": 0,
+                                       "median_gap": 0.0, "baseline_iqr": 0.0,
+                                       "gap_exceeds_iqr": False}
+    assert synth["k2_s"]["won"] == 0 and synth["k2_s"]["median_gap"] == 0.0
+    baseline = json.loads((repo / "BENCH_one_baseline.json").read_text())["workloads"]
+    assert all("paired" not in baseline[w] for w in baseline)

@@ -11,10 +11,11 @@ from dvbn.discretizer import discretize_one
 from dvbn.errors import ValidationError
 from dvbn.evaluation import naive_bayes_structure
 from dvbn.graph import Dag
-from dvbn.multivar import (PolicySet, apply_policies, discretize_all,
-                           equal_width_set, initial_interval_count)
+from dvbn.multivar import (NotConvergedWarning, PolicySet, apply_policies,
+                           discretize_all, equal_width_set, initial_interval_count)
 from dvbn.policy import DiscretizationPolicy, equal_width
 from dvbn.structure import k2_multi_restart
+from oracles import discretize_all_reference
 
 
 def test_initial_interval_count():
@@ -53,6 +54,55 @@ def test_discretize_all_stops_a_cycle_at_max_passes():
     with pytest.warns(UserWarning, match=f"within MAX_PASSES={multivar.MAX_PASSES} passes"):
         pset = discretize_all(d, g)
     assert pset.pass_count == multivar.MAX_PASSES and not pset.converged
+
+
+def _counted_runs(monkeypatch, d, g, method):
+    """``discretize_all`` and its reference loop on ``d`` and ``g``: each
+    result with the number of ``discretize_one`` calls it made."""
+    calls = []
+    solve = multivar.discretize_one
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(multivar, "discretize_one", counted)
+    runs = []
+    for run in (discretize_all, discretize_all_reference):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append((run(d, g, method=method), len(calls),
+                         [str(w.message) for w in caught if w.category is NotConvergedWarning]))
+        calls.clear()
+    return runs
+
+
+def _assert_same_policy_set(got, want):
+    assert got == want  # policies, pass count and converged
+    assert list(got.policies) == list(want.policies)
+    assert_same_image(got.image, want.image)
+
+
+def test_a_cycle_returns_the_last_pass_of_the_reference_loop_with_fewer_solves(monkeypatch):
+    # seed 79's bayes passes settle into a 2-cycle: the loop stops at the
+    # first repeat and returns the state in which pass MAX_PASSES ends
+    d, g = random_mixed(79)
+    (got, got_calls, got_warned), (want, want_calls, want_warned) = \
+        _counted_runs(monkeypatch, d, g, "bayes")
+    _assert_same_policy_set(got, want)
+    assert not got.converged and got.pass_count == multivar.MAX_PASSES
+    assert got_warned == want_warned == [multivar.NOT_CONVERGED]
+    assert got_calls < want_calls
+
+
+def test_discretize_all_matches_the_reference_loop(monkeypatch):
+    for seed in range(100):
+        d, g = random_mixed(seed)
+        for method in ("bayes", "mdl"):
+            (got, got_calls, got_warned), (want, want_calls, want_warned) = \
+                _counted_runs(monkeypatch, d, g, method)
+            _assert_same_policy_set(got, want)
+            assert got_warned == want_warned
+            assert got_calls == want_calls or not got.converged
 
 
 def test_discretize_all_empty_is_noop():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, assert_same_image, random_discrete, random_mixed
-from dvbn import counts, multivar, structure
+from dvbn import multivar, structure
 from dvbn.dataset import DiscreteDataset, MixedDataset, Variable, load_csv, load_schema
 from dvbn.errors import ValidationError
 from dvbn.graph import Dag
@@ -373,38 +374,72 @@ def test_restart_orders_are_successive_permutations(monkeypatch):
         multi_restart(d, 0, seed=4)
 
 
-def test_each_ranking_takes_one_encoder_pass(monkeypatch):
-    # the encoder runs once per K2 cache entry: once for each stored ranking
-    # and once for each parentless score, and never for a cache hit
-    calls, ranked, caches = [], [], []
-    encode, rank, score = counts.prefix_codes, structure._ranking, structure.family_score
+def test_each_state_is_ranked_once_per_cache(monkeypatch):
+    # the walk ranks the missing states of each parent-set size in one call;
+    # every (x, parents) state is ranked once per cache, and a second walk
+    # over the same cache ranks nothing
+    calls = []
+    rankings = structure._rankings
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return encode(*args)
-
-    def recorded_ranking(x, parents, d_star):
-        ranked.append((x, parents))
-        return rank(x, parents, d_star)
-
-    def recorded_score(x, parents, d_star, cache=None):
-        caches.append(cache)
-        return score(x, parents, d_star, cache)
-    for module in (counts, structure):
-        monkeypatch.setattr(module, "prefix_codes", counted)
-    monkeypatch.setattr(structure, "_ranking", recorded_ranking)
-    monkeypatch.setattr(structure, "family_score", recorded_score)
+    def recorded(states, d_star, stacked):
+        calls.append(list(states))
+        return rankings(states, d_star, stacked)
+    monkeypatch.setattr(structure, "_rankings", recorded)
     wine = next(_k2_images())
+    orders = structure._random_orders(len(wine.columns), 1000, 0)
+    cache = {}
+    structure._k2_walk(wine, orders, None, cache)
+    ranked = [state for call in calls for state in call]
+    assert len(ranked) > 500
+    assert sorted(ranked) == sorted(set(ranked)) == sorted(key[:2] for key in cache
+                                                           if len(key) == 3)
+    assert [{len(parents) for _, parents in call} for call in calls] \
+        == [{size} for size in range(len(calls))]
+    calls.clear()
+    structure._k2_walk(wine, orders[:7], None, cache)
+    assert not any(calls)
+    # k2_multi_restart's re-walk of the winner finds every ranking cached
     k2_multi_restart(wine, 1000, 0)
-    cache, = {id(c): c for c in caches}.values()
-    rankings = [key for key in cache if len(key) == 3]
-    assert len(rankings) > 500
-    # each ranking is built once, and the cache holds every one built
-    assert sorted(ranked) == sorted(set(ranked)) == sorted(key[:2] for key in rankings)
-    assert len(calls) == len(cache) == len(rankings) + len(wine.columns)
-    # each ranking's pass encodes x and its parents together
-    assert sorted(calls) == sorted([1] * len(wine.columns)
-                                   + [1 + len(parents) for _, parents, _ in rankings])
+    ranked = [state for call in calls for state in call]
+    assert sorted(ranked) == sorted(set(ranked))
+
+
+def test_one_level_of_rankings_mixes_table_sizes_across_chunks(monkeypatch):
+    # every state of one parent-set size ranked in one call, under a budget
+    # that splits the call into several chunks of states and scores several
+    # states' candidates in one batch; tables of several sizes meet in one
+    # call.  Each ranking is the state's own, with family_score's scores.
+    calls = []
+    scores = structure._scores
+
+    def recorded(codes, batch, q, r, n):
+        assert batch == 1 or max(batch * q * r, len(codes)) <= structure.BLOCK_ELEMENTS
+        calls.append((batch, q * r))
+        return scores(codes, batch, q, r, n)
+    monkeypatch.setattr(structure, "_scores", recorded)
+    mixed = chunked = shared = False
+    for seed in range(40):
+        d = random_discrete(seed)
+        names = sorted(d.columns)
+        for size in range(3):
+            states = [(x, parents) for x in d.columns
+                      for parents in itertools.combinations(sorted(set(names) - {x}), size)]
+            if not states:
+                continue
+            budget = 6 * (size + 1) * d.n_rows
+            monkeypatch.setattr(structure, "BLOCK_ELEMENTS", budget)
+            calls.clear()
+            got = structure._rankings(states, d, structure._stacked(d))
+            mixed |= len({cells for _, cells in calls}) > 1
+            chunked |= len(states) * (size + 1) * d.n_rows > budget
+            shared |= max((batch for batch, _ in calls), default=0) > len(names) - 1 - size
+            for (x, parents), ranking in zip(states, got):
+                assert ranking == structure._ranking(x, parents, d)
+                assert sorted(y for _, y in ranking) == sorted(set(names) - {x, *parents})
+                for score, y in ranking:
+                    family = tuple(sorted(parents + (y,)))
+                    assert score.hex() == family_score(x, family, d).hex()
+    assert mixed and chunked and shared
 
 
 def test_k2_ties_go_to_the_larger_name():
